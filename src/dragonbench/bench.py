@@ -339,14 +339,9 @@ def _scope_indices(n: int, idx: SplitIndices) -> dict[str, np.ndarray]:
 
 
 def _oracle_model(dataset: Dataset) -> FittedModel:
-    if dataset.mu0 is None:
-        raise ConfigError("oracle mode needs a dataset with mu0/mu1")
-    return FittedModel.from_values(
-        dataset.X,
-        dataset.mu0,
-        dataset.mu1,
-        np.full(dataset.n, 0.5),
-    )
+    if dataset.mu0 is None or dataset.g_true is None:
+        raise ConfigError("oracle mode needs a dataset with mu0/mu1 and g_true")
+    return FittedModel.from_values(dataset.X, dataset.mu0, dataset.mu1, dataset.g_true)
 
 
 def run_replication(
@@ -390,9 +385,9 @@ def run_replication(
             if held is None or held.size == 0:
                 held = idx.validation if idx.validation.size else np.arange(dataset.n)
             Xh, th, yh = dataset.X[held], t_float[held], dataset.y[held]
-            q_at_t = select_observed(model.q0(Xh), model.q1(Xh), th)
-            heldout_mse = float(np.mean((q_at_t - yh) ** 2))
-            heldout_acc = propensity_accuracy(model.g(Xh), th)
+            q0h, q1h, gh = model.predict(Xh)
+            heldout_mse = float(np.mean((select_observed(q0h, q1h, th) - yh) ** 2))
+            heldout_acc = propensity_accuracy(gh, th)
             flagged = overlap_flag(heldout_acc)
         else:
             heldout_mse = heldout_acc = None

@@ -1,9 +1,9 @@
 """Synthetic data generating processes, CSV ingestion and splitting.
 
 Every generator returns a `Dataset` carrying the drawn covariates,
-treatment, outcome, and the true conditional means mu0/mu1 so benchmarks
-can score estimates against the sample average treatment effect
-mean(mu1 - mu0) exactly.
+treatment, outcome, the true conditional means mu0/mu1 so benchmarks can
+score estimates against the sample average treatment effect
+mean(mu1 - mu0) exactly, and the true propensity g_true.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from .errors import ConfigError, IngestionError, ShapeError
 class Dataset:
     """Covariates X (n, p), binary treatment t (n,), outcome y (n,).
 
-    mu0/mu1 are the noiseless potential-outcome means when known (synthetic
-    data), None for observational files.  true_ate is the population
-    effect when the generator knows it.
+    mu0/mu1 are the noiseless potential-outcome means and g_true the true
+    propensity when known (synthetic data), None for observational files.
+    true_ate is the population effect when the generator knows it.
     """
 
     X: np.ndarray
@@ -33,6 +33,7 @@ class Dataset:
     mu0: np.ndarray | None = None
     mu1: np.ndarray | None = None
     true_ate: float | None = None
+    g_true: np.ndarray | None = None
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=np.float64)
@@ -50,7 +51,7 @@ class Dataset:
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "t", t.astype(np.int64))
         object.__setattr__(self, "y", y)
-        for name in ("mu0", "mu1"):
+        for name in ("mu0", "mu1", "g_true"):
             v = getattr(self, name)
             if v is not None:
                 v = np.asarray(v, dtype=np.float64)
@@ -88,6 +89,7 @@ class Dataset:
             mu0=None if self.mu0 is None else self.mu0[idx],
             mu1=None if self.mu1 is None else self.mu1[idx],
             true_ate=self.true_ate,
+            g_true=None if self.g_true is None else self.g_true[idx],
         )
 
 
@@ -139,7 +141,7 @@ def gen_dgp_lin(
     t = (rng.random(n) < g).astype(np.int64)
     f = lin_base_outcome(X)
     y = tau * t + f + noise_sd * rng.standard_normal(n)
-    return Dataset(X=X, t=t, y=y, mu0=f, mu1=f + tau, true_ate=float(tau))
+    return Dataset(X=X, t=t, y=y, mu0=f, mu1=f + tau, true_ate=float(tau), g_true=g)
 
 
 # --- DGP with outcome-only covariates -------------------------------------
@@ -202,7 +204,7 @@ def gen_dgp_irrelevant(
          if p_outcome_only > 0 else np.zeros(n))
     f = u + outcome_scale * v
     y = tau * t + f + noise_sd * rng.standard_normal(n)
-    return Dataset(X=X, t=t, y=y, mu0=f, mu1=f + tau, true_ate=float(tau))
+    return Dataset(X=X, t=t, y=y, mu0=f, mu1=f + tau, true_ate=float(tau), g_true=g)
 
 
 # --- semi-synthetic nonlinear DGP ------------------------------------------
@@ -254,7 +256,7 @@ def gen_dgp_ihdp_like(
     y0 = mu0 + noise_sd * rng.standard_normal(n)
     y1 = mu1 + noise_sd * rng.standard_normal(n)
     y = np.where(t == 1, y1, y0)
-    return Dataset(X=X, t=t, y=y, mu0=mu0, mu1=mu1, true_ate=None)
+    return Dataset(X=X, t=t, y=y, mu0=mu0, mu1=mu1, true_ate=None, g_true=g)
 
 
 # --- CSV ingestion ----------------------------------------------------------

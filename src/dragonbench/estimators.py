@@ -1,6 +1,7 @@
 """Average-treatment-effect estimators over a fitted outcome/propensity model.
 
-Given Q-hat and g-hat, the package exposes the classical estimator family:
+Given the arrays q0, q1 (outcome predictions), g (propensities), t and y
+of one row set, the package exposes the classical estimator family:
 
   psi_q      plug-in mean of Q(1, x) - Q(0, x)
   psi_aiptw  plug-in plus the inverse-propensity residual correction;
@@ -10,9 +11,10 @@ Given Q-hat and g-hat, the package exposes the classical estimator family:
   psi_treg   plug-in over the perturbed outcome using the epsilon trained
              jointly with the network
 
-All estimators expect pre-trimmed inputs: run `trim` on the propensity
-scores first and feed every estimator the same retained rows, which is
-what `apply_estimators` does.
+All estimators are pure functions of those arrays and expect pre-trimmed
+inputs: run `trim` on the propensity scores first and feed every
+estimator the same retained rows, which is what `apply_estimators` does
+with one `FittedModel.predict` per row set.
 """
 
 from __future__ import annotations
@@ -183,61 +185,58 @@ def diff_in_means(t, y) -> float:
     return float(y[treated].mean() - y[~treated].mean())
 
 
-def influence_curve(q0, q1, g, t, y, psi: float) -> InfluenceValues:
-    """phi_i = q1_i - q0_i + H(t_i, g_i) * (y_i - q_{t_i}) - psi."""
-    q0 = _arr("q0", q0)
-    q1 = _arr("q1", q1)
-    g = _arr("g", g)
-    t = _arr("t", t)
-    y = _arr("y", y)
-    n = {a.size for a in (q0, q1, g, t, y)}
-    if len(n) != 1:
+def _nuisances(q0, q1, g, t, y):
+    """Validated float arrays of one row set: same length, g inside (0, 1), t binary."""
+    arrays = [_arr(k, v) for k, v in zip(("q0", "q1", "g", "t", "y"), (q0, q1, g, t, y))]
+    q0, q1, g, t, y = arrays
+    if len({a.size for a in arrays}) != 1:
         raise ShapeError("q0, q1, g, t, y must all have the same length")
-    _check_rows(q0.size, "influence_curve")
+    _check_rows(q0.size, "estimator input")
     _check_g(g)
     _check_t(t)
-    q_at_t = select_observed(q0, q1, t)
-    phi = q1 - q0 + h_values(t, g) * (y - q_at_t) - float(psi)
+    return arrays
+
+
+def influence_curve(q0, q1, g, t, y, psi: float) -> InfluenceValues:
+    """phi_i = q1_i - q0_i + H(t_i, g_i) * (y_i - q_{t_i}) - psi."""
+    q0, q1, g, t, y = _nuisances(q0, q1, g, t, y)
+    phi = q1 - q0 + h_values(t, g) * (y - select_observed(q0, q1, t)) - float(psi)
     return InfluenceValues(phi=phi, mean_phi=float(np.mean(phi)))
 
 
-def _predictions(model, X):
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ShapeError(f"X must be 2-d, got shape {X.shape}")
-    _check_rows(X.shape[0], "estimator input")
-    q0 = _arr("q0", model.q0(X))
-    q1 = _arr("q1", model.q1(X))
-    g = _arr("g", model.g(X))
-    _check_g(g)
-    return q0, q1, g
-
-
-def psi_q(model, X, trim_bounds=(0.0, 1.0)) -> Estimate:
+def psi_q(q0, q1, trim_bounds=(0.0, 1.0)) -> Estimate:
     """Plug-in estimate: mean of q1(x) - q0(x) over the given rows."""
-    q0, q1, _ = _predictions(model, X)
+    q0 = _arr("q0", q0)
+    q1 = _arr("q1", q1)
+    if q0.shape != q1.shape:
+        raise ShapeError(f"q0 {q0.shape} and q1 {q1.shape} must align")
+    _check_rows(q0.size, "estimator input")
     psi = float(np.mean(q1 - q0))
     return Estimate(psi, TAG_Q, q0.size, _check_bounds(trim_bounds))
 
 
-def psi_aiptw(model, X, t, y, trim_bounds=(0.0, 1.0)) -> tuple[Estimate, InfluenceValues]:
+def psi_aiptw(q0, q1, g, t, y, trim_bounds=(0.0, 1.0)) -> tuple[Estimate, InfluenceValues]:
     """Augmented IPW: plug-in plus mean inverse-propensity residual.
 
     The estimate is the value that zeroes the empirical mean of the
     influence curve, so mean_phi is 0 up to rounding by construction.
     """
-    q0, q1, g = _predictions(model, X)
-    t = _arr("t", t)
-    y = _arr("y", y)
-    _check_t(t)
-    contrib = q1 - q0 + h_values(t, g) * (y - select_observed(q0, q1, t))
-    psi = float(np.mean(contrib))
+    q0, q1, g, t, y = _nuisances(q0, q1, g, t, y)
+    psi = float(np.mean(q1 - q0 + h_values(t, g) * (y - select_observed(q0, q1, t))))
     iv = influence_curve(q0, q1, g, t, y, psi)
     return Estimate(psi, TAG_AIPTW, q0.size, _check_bounds(trim_bounds)), iv
 
 
+def _perturbed(q0, q1, g, t, y, eps: float) -> tuple[float, InfluenceValues]:
+    """Plug-in and influence curve of the outcomes moved by eps along H."""
+    q1_star = q1 + eps / g
+    q0_star = q0 - eps / (1.0 - g)
+    psi = float(np.mean(q1_star - q0_star))
+    return psi, influence_curve(q0_star, q1_star, g, t, y, psi)
+
+
 def psi_tmle(
-    model, X, t, y, trim_bounds=(0.0, 1.0)
+    q0, q1, g, t, y, trim_bounds=(0.0, 1.0)
 ) -> tuple[Estimate, InfluenceValues, float]:
     """One-step targeted update with the closed-form fluctuation.
 
@@ -247,38 +246,24 @@ def psi_tmle(
     to float rounding.  No iteration is needed: the fluctuation is linear
     in epsilon so one exact step lands on the solution.
     """
-    q0, q1, g = _predictions(model, X)
-    t = _arr("t", t)
-    y = _arr("y", y)
-    _check_t(t)
-    q_at_t = select_observed(q0, q1, t)
-    eps = stationary_epsilon(y, q_at_t, t, g)
-    q1_star = q1 + eps / g
-    q0_star = q0 - eps / (1.0 - g)
-    psi = float(np.mean(q1_star - q0_star))
-    iv = influence_curve(q0_star, q1_star, g, t, y, psi)
+    q0, q1, g, t, y = _nuisances(q0, q1, g, t, y)
+    eps = stationary_epsilon(y, select_observed(q0, q1, t), t, g)
+    psi, iv = _perturbed(q0, q1, g, t, y, eps)
     return Estimate(psi, TAG_TMLE, q0.size, _check_bounds(trim_bounds)), iv, float(eps)
 
 
-def psi_treg(model, X, t, y, trim_bounds=(0.0, 1.0)) -> tuple[Estimate, InfluenceValues]:
+def psi_treg(
+    q0, q1, g, t, y, epsilon_hat: float, trim_bounds=(0.0, 1.0)
+) -> tuple[Estimate, InfluenceValues]:
     """Plug-in over the perturbed outcomes at the jointly trained epsilon.
 
-    Requires a model trained with the targeted-regularization term (its
-    epsilon_hat is meaningless otherwise).  mean_phi is diagnostic: it is
-    near zero exactly when training reached stationarity in epsilon on
-    the rows being estimated.
+    `epsilon_hat` is the fluctuation a model learned with the targeted-
+    regularization term (meaningless otherwise).  mean_phi is diagnostic:
+    it is near zero exactly when training reached stationarity in epsilon
+    on the rows being estimated.
     """
-    if not model.treg:
-        raise UsageError("psi_treg needs a model trained with beta > 0")
-    q0, q1, g = _predictions(model, X)
-    t = _arr("t", t)
-    y = _arr("y", y)
-    _check_t(t)
-    eps = float(model.epsilon_hat)
-    q1_star = q1 + eps / g
-    q0_star = q0 - eps / (1.0 - g)
-    psi = float(np.mean(q1_star - q0_star))
-    iv = influence_curve(q0_star, q1_star, g, t, y, psi)
+    q0, q1, g, t, y = _nuisances(q0, q1, g, t, y)
+    psi, iv = _perturbed(q0, q1, g, t, y, float(epsilon_hat))
     return Estimate(psi, TAG_TREG, q0.size, _check_bounds(trim_bounds)), iv
 
 
@@ -289,6 +274,13 @@ def apply_estimators(
 
     Returns {tag: EstimateReport}.  The default set is Q/AIPTW/TMLE, plus
     TREG when the model was trained with targeted regularization.
+
+    One `model.predict` on X gives the propensities to trim on; when the
+    trim drops rows, one more `predict` on the kept rows feeds every
+    estimator.  The kept rows are predicted afresh rather than sliced out
+    of the first prediction because BLAS rounds differently at different
+    row counts, and estimates must equal a direct prediction on the rows
+    they use, bit for bit.
     """
     X = np.asarray(X, dtype=np.float64)
     t = _arr("t", t)
@@ -298,41 +290,39 @@ def apply_estimators(
     unknown = set(estimators) - set(ESTIMATOR_TAGS)
     if unknown:
         raise UsageError(f"unknown estimator tags: {sorted(unknown)}")
+    if TAG_TREG in estimators and not model.treg:
+        raise UsageError("TREG needs a model trained with beta > 0")
+    if X.ndim != 2:
+        raise ShapeError(f"X must be 2-d, got shape {X.shape}")
     _check_rows(X.shape[0], "apply_estimators")
-    g_all = model.g(X)
-    tr = trim(g_all, bounds)
+    preds = model.predict(X)
+    tr = trim(preds[2], bounds)
     if tr.kept.size == 0:
         raise EstimationError(
             f"trimming to {tr.bounds} removed every row "
             f"({tr.dropped_low} low, {tr.dropped_high} high)"
         )
-    Xk, tk, yk = X[tr.kept], t[tr.kept], y[tr.kept]
-    q0, q1, g = _predictions(model, Xk)
+    if tr.kept.size < X.shape[0]:
+        preds = model.predict(X[tr.kept])
+    q0, q1, g, tk, yk = _nuisances(*preds, t[tr.kept], y[tr.kept])
     reports: dict[str, EstimateReport] = {}
-
-    def report(tag, psi, mean_phi):
+    for tag in estimators:
+        if tag == TAG_Q:
+            est = psi_q(q0, q1, tr.bounds)
+            iv = influence_curve(q0, q1, g, tk, yk, est.psi_hat)
+        elif tag == TAG_AIPTW:
+            est, iv = psi_aiptw(q0, q1, g, tk, yk, tr.bounds)
+        elif tag == TAG_TMLE:
+            est, iv, _ = psi_tmle(q0, q1, g, tk, yk, tr.bounds)
+        else:
+            est, iv = psi_treg(q0, q1, g, tk, yk, model.epsilon_hat, tr.bounds)
         reports[tag] = EstimateReport(
             estimator_tag=tag,
-            psi_hat=psi,
+            psi_hat=est.psi_hat,
             n_used=int(tr.kept.size),
             trim_bounds=tr.bounds,
-            mean_phi=mean_phi,
+            mean_phi=iv.mean_phi,
             dropped_low=tr.dropped_low,
             dropped_high=tr.dropped_high,
         )
-
-    for tag in estimators:
-        if tag == TAG_Q:
-            est = psi_q(model, Xk, tr.bounds)
-            iv = influence_curve(q0, q1, g, tk, yk, est.psi_hat)
-            report(tag, est.psi_hat, iv.mean_phi)
-        elif tag == TAG_AIPTW:
-            est, iv = psi_aiptw(model, Xk, tk, yk, tr.bounds)
-            report(tag, est.psi_hat, iv.mean_phi)
-        elif tag == TAG_TMLE:
-            est, iv, _ = psi_tmle(model, Xk, tk, yk, tr.bounds)
-            report(tag, est.psi_hat, iv.mean_phi)
-        elif tag == TAG_TREG:
-            est, iv = psi_treg(model, Xk, tk, yk, tr.bounds)
-            report(tag, est.psi_hat, iv.mean_phi)
     return reports

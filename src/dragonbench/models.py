@@ -13,10 +13,10 @@ g(x) in (0, 1).
              stack + propensity head on pure cross-entropy, then fresh
              outcome heads on the frozen representation.
 
-`FittedModel` is the estimation-facing contract: three vectorized
-prediction functions plus the trained fluctuation scalar.  Estimators only
-ever see this interface, so oracle models built from known functions or
-tabulated values plug into the same pipeline.
+`FittedModel` is the estimation-facing contract: one vectorized
+`predict(X) -> (q0, q1, g)` plus the trained fluctuation scalar.
+Estimators only ever see this interface, so oracle models built from known
+functions or tabulated values plug into the same pipeline.
 """
 
 from __future__ import annotations
@@ -171,8 +171,9 @@ def _check_input(params, x) -> np.ndarray:
     return x
 
 
-def dragonnet_forward(params: DragonnetParams, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Plain-array forward pass; returns (q0, q1, g), each (n,)."""
+def dragonnet_forward(params, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Plain-array forward pass of any of the three networks (`params.apply`
+    knows where g reads from); returns (q0, q1, g), each (n,)."""
     x = _check_input(params, x)
     q0, q1, g, _ = params.apply(x)
     for name, arr in (("q0", q0), ("q1", q1), ("g", g)):
@@ -181,16 +182,7 @@ def dragonnet_forward(params: DragonnetParams, x) -> tuple[np.ndarray, np.ndarra
     return q0, q1, g
 
 
-def tarnet_forward(params: TarnetParams, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    x = _check_input(params, x)
-    q0, q1, g, _ = params.apply(x)
-    for name, arr in (("q0", q0), ("q1", q1), ("g", g)):
-        if not np.isfinite(arr).all():
-            raise NumericError(f"{name} contains non-finite values")
-    return q0, q1, g
-
-
-nednet_forward = dragonnet_forward
+tarnet_forward = nednet_forward = dragonnet_forward
 
 
 @dataclass(frozen=True)
@@ -230,15 +222,16 @@ class Scaler:
 class FittedModel:
     """Estimation-facing view of a trained (or oracle) model.
 
-    q0, q1 : (n, p) -> (n,) outcome predictions in original units
-    g      : (n, p) -> (n,) propensity scores in (0, 1)
+    predict : (n, p) -> (q0, q1, g), each (n,), from one forward: outcome
+              predictions in original units, propensity scores in (0, 1)
     epsilon_hat : trained fluctuation scalar, in outcome units; 0.0 when
                   targeted regularization was off
+
+    `q0`, `q1` and `g` each run a whole `predict` and keep one column; call
+    `predict` once when more than one of them is needed.
     """
 
-    q0: Callable[[np.ndarray], np.ndarray]
-    q1: Callable[[np.ndarray], np.ndarray]
-    g: Callable[[np.ndarray], np.ndarray]
+    predict: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
     epsilon_hat: float
     metadata: dict
     payload: dict | None = None
@@ -247,6 +240,15 @@ class FittedModel:
     def treg(self) -> bool:
         return bool(self.metadata.get("treg", False))
 
+    def q0(self, X) -> np.ndarray:
+        return self.predict(X)[0]
+
+    def q1(self, X) -> np.ndarray:
+        return self.predict(X)[1]
+
+    def g(self, X) -> np.ndarray:
+        return self.predict(X)[2]
+
     @classmethod
     def from_functions(
         cls, q0, q1, g, epsilon_hat: float = 0.0, treg: bool = False, metadata: dict | None = None
@@ -254,7 +256,8 @@ class FittedModel:
         meta = {"architecture": "functions", "treg": treg}
         if metadata:
             meta.update(metadata)
-        return cls(q0=q0, q1=q1, g=g, epsilon_hat=float(epsilon_hat), metadata=meta)
+        predict = lambda X: (q0(X), q1(X), g(X))
+        return cls(predict=predict, epsilon_hat=float(epsilon_hat), metadata=meta)
 
     @classmethod
     def from_values(
@@ -268,54 +271,37 @@ class FittedModel:
         """Row-lookup oracle: predictions are tabulated for the rows of X.
 
         Queries with rows not present in X raise UsageError.  Used for
-        oracle benchmarking where true mu0/mu1 are known per row.
+        oracle benchmarking where true mu0/mu1 and g are known per row.
         """
         X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
         table = {X[i].tobytes(): i for i in range(X.shape[0])}
+        values = [np.asarray(v, dtype=np.float64) for v in (q0_values, q1_values, g_values)]
 
-        def lookup(values):
-            values = np.asarray(values, dtype=np.float64)
-
-            def fn(Xq):
-                Xq = np.ascontiguousarray(np.asarray(Xq, dtype=np.float64))
-                idx = np.empty(Xq.shape[0], dtype=np.intp)
-                for i in range(Xq.shape[0]):
-                    j = table.get(Xq[i].tobytes())
-                    if j is None:
-                        raise UsageError("row not present in the oracle lookup table")
-                    idx[i] = j
-                return values[idx]
-
-            return fn
+        def predict(Xq):
+            Xq = np.ascontiguousarray(np.asarray(Xq, dtype=np.float64))
+            idx = np.empty(Xq.shape[0], dtype=np.intp)
+            for i in range(Xq.shape[0]):
+                j = table.get(Xq[i].tobytes())
+                if j is None:
+                    raise UsageError("row not present in the oracle lookup table")
+                idx[i] = j
+            return tuple(v[idx] for v in values)
 
         return cls(
-            q0=lookup(q0_values),
-            q1=lookup(q1_values),
-            g=lookup(g_values),
+            predict=predict,
             epsilon_hat=float(epsilon_hat),
             metadata={"architecture": "oracle", "treg": float(epsilon_hat) != 0.0},
         )
 
 
-def build_predictors(arch: str, params, scaler: Scaler):
-    """Wrap network forwards with the scaler; returns (q0, q1, g) closures."""
-    fwd = tarnet_forward if arch == ARCH_TARNET else dragonnet_forward
+def build_predictors(params, scaler: Scaler):
+    """Wrap one network forward with the scaler; returns predict(X) -> (q0, q1, g)."""
 
-    def _all(X):
-        X = np.asarray(X, dtype=np.float64)
-        q0, q1, g = fwd(params, scaler.transform_x(X))
+    def predict(X):
+        q0, q1, g = dragonnet_forward(params, scaler.transform_x(np.asarray(X, dtype=np.float64)))
         return scaler.restore_y(q0), scaler.restore_y(q1), g
 
-    def q0_fn(X):
-        return _all(X)[0]
-
-    def q1_fn(X):
-        return _all(X)[1]
-
-    def g_fn(X):
-        return _all(X)[2]
-
-    return q0_fn, q1_fn, g_fn
+    return predict
 
 
 def _layer_to_json(layer: DenseLayer) -> dict:
@@ -375,43 +361,69 @@ def save_checkpoint(model: FittedModel, path) -> None:
     path.write_text(json.dumps(model.payload))
 
 
+def _require(obj, keys, where: str) -> dict:
+    """`obj`, once it is a dict holding every key; ConfigError otherwise."""
+    missing = [k for k in keys if not isinstance(obj, dict) or k not in obj]
+    if missing:
+        raise ConfigError(f"checkpoint {where} is missing {', '.join(missing)}")
+    return obj
+
+
+def _chain(name: str, layers: list[DenseLayer], width: int, out: int | None = None) -> int:
+    """Output width of stack `name` fed `width` columns; ShapeError when it is
+    empty, its layer widths do not chain, or it does not end at `out`."""
+    for i, layer in enumerate(layers):
+        if layer.in_dim != width:
+            raise ShapeError(
+                f"checkpoint {name} layer {i} takes {layer.in_dim} inputs, gets {width}"
+            )
+        width = layer.out_dim
+    if not layers or out not in (None, width):
+        raise ShapeError(f"checkpoint stack {name} is empty or does not output {out} columns")
+    return width
+
+
 def load_checkpoint(path) -> FittedModel:
+    """Rebuild a model from `save_checkpoint` output.
+
+    Missing sections raise ConfigError and layer widths that do not chain
+    raise ShapeError, at load time rather than at the first prediction.
+    """
     obj = json.loads(Path(path).read_text())
-    if obj.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(obj, dict) or obj.get("format") != CHECKPOINT_FORMAT:
         raise ConfigError(f"not a {CHECKPOINT_FORMAT} file: {path}")
     if obj.get("version") != CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {obj.get('version')!r}")
+    _require(obj, ("architecture", "treg", "epsilon_hat", "config_digest", "scaler", "stacks"),
+             "file")
     arch = obj["architecture"]
     if arch not in ARCHITECTURES:
         raise ConfigError(f"unknown architecture {arch!r}")
-    stacks = obj["stacks"]
-    shared = [_layer_from_json(l) for l in stacks["shared"]]
-    head0 = [_layer_from_json(l) for l in stacks["head0"]]
-    head1 = [_layer_from_json(l) for l in stacks["head1"]]
-    if arch == ARCH_TARNET:
-        aux = _layer_from_json(stacks["aux_propensity"][0])
-        params = TarnetParams(shared, head0, head1, aux)
-    else:
-        prop = _layer_from_json(stacks["propensity"][0])
-        params = DragonnetParams(shared, head0, head1, prop)
-    sc = obj["scaler"]
-    scaler = Scaler(
-        np.asarray(sc["x_mean"], dtype=np.float64),
-        np.asarray(sc["x_std"], dtype=np.float64),
-        float(sc["y_mean"]),
-        float(sc["y_std"]),
+    prop_name = "aux_propensity" if arch == ARCH_TARNET else "propensity"
+    stacks = _require(obj["stacks"], ("shared", "head0", "head1", prop_name), "stacks")
+    shared, head0, head1, prop = (
+        [_layer_from_json(_require(l, ("weights", "bias", "activation"), f"{k} layer"))
+         for l in stacks[k]]
+        for k in ("shared", "head0", "head1", prop_name)
     )
-    q0_fn, q1_fn, g_fn = build_predictors(arch, params, scaler)
+    p = shared[0].in_dim if shared else 0
+    rep = _chain("shared", shared, p)
+    _chain("head0", head0, rep, 1)
+    _chain("head1", head1, rep, 1)
+    _chain(prop_name, prop[:1], p if arch == ARCH_TARNET else rep, 1)
+    params = (TarnetParams if arch == ARCH_TARNET else DragonnetParams)(
+        shared, head0, head1, prop[0]
+    )
+    sc = _require(obj["scaler"], ("x_mean", "x_std", "y_mean", "y_std"), "scaler")
+    x_mean, x_std = (np.asarray(sc[k], dtype=np.float64) for k in ("x_mean", "x_std"))
+    scaler = Scaler(x_mean, x_std, float(sc["y_mean"]), float(sc["y_std"]))
+    if x_mean.shape != (p,) or x_std.shape != (p,):
+        raise ShapeError(f"checkpoint scaler does not have {p} columns")
     return FittedModel(
-        q0=q0_fn,
-        q1=q1_fn,
-        g=g_fn,
+        predict=build_predictors(params, scaler),
         epsilon_hat=float(obj["epsilon_hat"]),
-        metadata={
-            "architecture": arch,
-            "treg": bool(obj["treg"]),
-            "config_digest": obj["config_digest"],
-        },
+        metadata={"architecture": arch, "treg": bool(obj["treg"]),
+                  "config_digest": obj["config_digest"]},
         payload=obj,
     )
 

@@ -325,7 +325,6 @@ def _train_joint(arch: str, data: Dataset, cfg: TrainConfig, rng, val_data) -> F
         _finalize_epsilon(params, Xs, ys, ts, cfg)
     epsilon_hat = float(params.epsilon) * scaler.y_std
     digest = config_digest(cfg)
-    q0_fn, q1_fn, g_fn = build_predictors(arch, params, scaler)
     meta = {
         "architecture": arch,
         "treg": cfg.beta > 0,
@@ -335,7 +334,7 @@ def _train_joint(arch: str, data: Dataset, cfg: TrainConfig, rng, val_data) -> F
         **_traces_to_meta(loop),
     }
     payload = make_payload(arch, params, scaler, epsilon_hat, cfg.beta > 0, digest, cfg.to_dict())
-    return FittedModel(q0=q0_fn, q1=q1_fn, g=g_fn, epsilon_hat=epsilon_hat,
+    return FittedModel(predict=build_predictors(params, scaler), epsilon_hat=epsilon_hat,
                        metadata=meta, payload=payload)
 
 
@@ -456,7 +455,6 @@ def train_nednet(
     )
 
     digest = config_digest(cfg)
-    q0_fn, q1_fn, g_fn = build_predictors(ARCH_NEDNET, params, scaler)
     meta = {
         "architecture": ARCH_NEDNET,
         "treg": False,
@@ -467,7 +465,8 @@ def train_nednet(
         "phase1": _traces_to_meta(loop1),
     }
     payload = make_payload(ARCH_NEDNET, params, scaler, 0.0, False, digest, cfg.to_dict())
-    return FittedModel(q0=q0_fn, q1=q1_fn, g=g_fn, epsilon_hat=0.0, metadata=meta, payload=payload)
+    return FittedModel(predict=build_predictors(params, scaler), epsilon_hat=0.0,
+                       metadata=meta, payload=payload)
 
 
 TRAINERS = {

@@ -133,11 +133,11 @@ def test_criterion_2_influence_zeroing(lin_treg_model):
     y = rng.standard_normal(n)
     table = FittedModel.from_values(X, q0, q1, g)
 
-    _, iv_aiptw = psi_aiptw(table, X, t, y)
-    _, iv_tmle, _ = psi_tmle(table, X, t, y)
+    _, iv_aiptw = psi_aiptw(*table.predict(X), t, y)
+    _, iv_tmle, _ = psi_tmle(*table.predict(X), t, y)
 
     data, model = lin_treg_model
-    _, iv_treg = psi_treg(model, data.X, data.t, data.y)
+    _, iv_treg = psi_treg(*model.predict(data.X), data.t, data.y, model.epsilon_hat)
 
     ok = (
         abs(iv_aiptw.mean_phi) <= 1e-12
@@ -197,9 +197,10 @@ def test_criterion_4_double_robustness():
     )
     tau = data.true_ate
 
-    est_q = psi_q(model, data.X)
-    est_a, iv_a = psi_aiptw(model, data.X, data.t, data.y)
-    est_t, iv_t, _ = psi_tmle(model, data.X, data.t, data.y)
+    q0, q1, g = model.predict(data.X)
+    est_q = psi_q(q0, q1)
+    est_a, iv_a = psi_aiptw(q0, q1, g, data.t, data.y)
+    est_t, iv_t, _ = psi_tmle(q0, q1, g, data.t, data.y)
     se_a = float(iv_a.phi.std(ddof=1) / np.sqrt(data.n))
     se_t = float(iv_t.phi.std(ddof=1) / np.sqrt(data.n))
 

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dragonbench.bench as bench
 from dragonbench.bench import (
     ExperimentConfig,
     RunResult,
@@ -29,8 +30,19 @@ from dragonbench.bench import (
     summarize,
     truncation_sweep,
 )
-from dragonbench.datagen import write_csv
+from dragonbench.datagen import lin_true_propensity, write_csv
 from dragonbench.errors import ConfigError
+from dragonbench.estimators import (
+    ESTIMATOR_TAGS,
+    EstimateReport,
+    influence_curve,
+    psi_aiptw,
+    psi_q,
+    psi_tmle,
+    psi_treg,
+    trim,
+)
+from dragonbench.models import FittedModel
 from dragonbench.train import TrainConfig
 
 TINY_TRAIN = TrainConfig(epochs=3, patience=0, val_fraction=0.0,
@@ -170,6 +182,28 @@ def test_oracle_mode_requires_known_surfaces(tmp_path):
     stripped = Dataset(X=data.X, t=data.t, y=data.y)
     path = tmp_path / "bare.csv"
     write_csv(stripped, path)
+    cfg = tiny_config(architecture="oracle", dgp={"kind": "csv", "paths": [str(path)]},
+                      replications=1)
+    with pytest.raises(ConfigError):
+        run_replication(cfg, 0)
+
+
+def test_oracle_mode_uses_the_true_propensity(tmp_path):
+    data = make_dataset({"kind": "lin", "n": 60, "p": 3, "confounding_strength": 2.0},
+                        np.random.default_rng(0), 0)
+    np.testing.assert_array_equal(data.g_true, lin_true_propensity(data.X, 2.0))
+    rows = np.arange(0, 60, 3)
+    sub = data.subset(rows)
+    np.testing.assert_array_equal(bench._oracle_model(sub).g(sub.X), data.g_true[rows])
+    for dgp in ({"kind": "irrelevant", "n": 40, "p_confound": 2, "p_outcome_only": 3},
+                {"kind": "ihdp_like", "n": 40, "p": 6}):
+        other = make_dataset(dgp, np.random.default_rng(1), 0)
+        g = bench._oracle_model(other).g(other.X)
+        np.testing.assert_array_equal(g, other.g_true)
+        assert np.all((g > 0.0) & (g < 1.0)) and g.std() > 0.0
+    # csv keeps mu0/mu1 but not the propensity, so it has no oracle
+    path = tmp_path / "with_mu.csv"
+    write_csv(data, path)
     cfg = tiny_config(architecture="oracle", dgp={"kind": "csv", "paths": [str(path)]},
                       replications=1)
     with pytest.raises(ConfigError):
@@ -322,6 +356,80 @@ def test_truncation_sweep_records_empty_levels_without_crashing():
     assert narrow.estimation_errors  # recorded, not raised
     wide = sweep[(0.01, 0.99)].runs[0]
     assert wide.reports["all"]
+
+
+def _record_calls(monkeypatch, name: str) -> list:
+    """Swap bench.<name> for a wrapper logging (args, result) of each call."""
+    log = []
+    real = getattr(bench, name)
+
+    def wrapped(*args, **kwargs):
+        out = real(*args, **kwargs)
+        log.append((args, out))
+        return out
+
+    monkeypatch.setattr(bench, name, wrapped)
+    return log
+
+
+def test_truncation_sweep_reports_equal_estimators_on_a_fresh_prediction(monkeypatch):
+    # Each report must equal the array estimators applied to one direct
+    # predict on its scope's kept rows.  Slicing those rows out of a
+    # prediction on more rows does not pass: BLAS rounds differently at
+    # other row counts.
+    splits = _record_calls(monkeypatch, "split")
+    fits = _record_calls(monkeypatch, "train_architecture")
+    level = (0.2, 0.8)
+    cfg = tiny_config(
+        dgp={"kind": "lin", "n": 200, "p": 4, "tau": 1.0, "confounding_strength": 2.0},
+        treg=True, replications=2, estimators=ESTIMATOR_TAGS,
+        train=replace(TINY_TRAIN, epochs=10, shared_widths=(32,), outcome_widths=(16,)),
+    )
+    runs = truncation_sweep(cfg, (level,))[level].runs
+    dropped = 0
+    for run, ((dataset, _), idx), (_, model) in zip(runs, splits, fits, strict=True):
+        scopes = {
+            "all": np.arange(dataset.n),
+            "in": np.sort(np.concatenate([idx.train, idx.validation])),
+            "out": idx.test,
+        }
+        assert set(run.reports) == set(scopes)
+        for scope, rows in scopes.items():
+            X, t, y = dataset.X[rows], dataset.t[rows].astype(np.float64), dataset.y[rows]
+            tr = trim(model.g(X), level)
+            dropped += tr.dropped_low + tr.dropped_high
+            q0, q1, g = model.predict(X[tr.kept])
+            tk, yk = t[tr.kept], y[tr.kept]
+            est_q = psi_q(q0, q1, tr.bounds)
+            results = [
+                (est_q, influence_curve(q0, q1, g, tk, yk, est_q.psi_hat)),
+                psi_aiptw(q0, q1, g, tk, yk, tr.bounds),
+                psi_tmle(q0, q1, g, tk, yk, tr.bounds)[:2],
+                psi_treg(q0, q1, g, tk, yk, model.epsilon_hat, tr.bounds),
+            ]
+            for est, iv in results:
+                assert run.reports[scope][est.estimator_tag] == EstimateReport(
+                    estimator_tag=est.estimator_tag, psi_hat=est.psi_hat,
+                    n_used=int(tr.kept.size), trim_bounds=tr.bounds, mean_phi=iv.mean_phi,
+                    dropped_low=tr.dropped_low, dropped_high=tr.dropped_high,
+                )
+    assert dropped > 0
+
+
+def test_heldout_metrics_take_one_prediction(monkeypatch):
+    calls = []
+
+    def q0(X):
+        calls.append(len(X))
+        return np.zeros(len(X))
+
+    model = FittedModel.from_functions(q0, lambda X: np.ones(len(X)),
+                                       lambda X: np.full(len(X), 0.5))
+    monkeypatch.setattr(bench, "train_architecture", lambda *args, **kwargs: model)
+    monkeypatch.setattr(bench, "apply_estimators", lambda *args, **kwargs: {})
+    run = run_replication(tiny_config(), 0)[0]
+    assert len(calls) == 1
+    assert run.heldout_mse is not None and run.heldout_accuracy is not None
 
 
 def test_truncation_levels_validated():

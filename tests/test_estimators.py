@@ -44,7 +44,7 @@ def test_clever_covariate_hand_values():
 def test_psi_q_is_the_mean_contrast():
     X = np.array([[0.0], [1.0]])
     model = table_model(X, q0=[0.0, 0.0], q1=[1.0, 3.0], g=[0.5, 0.5])
-    est = psi_q(model, X)
+    est = psi_q(*model.predict(X)[:2])
     assert est.psi_hat == pytest.approx(2.0)
     assert est.n_used == 2
 
@@ -53,7 +53,7 @@ def test_psi_aiptw_single_row_hand_value():
     # q1 - q0 + H (y - q1) = (2 - 1) + 2 * (3 - 2) = 3
     X = np.array([[0.0]])
     model = table_model(X, q0=[1.0], q1=[2.0], g=[0.5])
-    est, iv = psi_aiptw(model, X, np.array([1.0]), np.array([3.0]))
+    est, iv = psi_aiptw(*model.predict(X), np.array([1.0]), np.array([3.0]))
     assert est.psi_hat == pytest.approx(3.0)
     assert abs(iv.mean_phi) <= 1e-12
 
@@ -67,7 +67,7 @@ def test_psi_aiptw_zeroes_influence_mean_by_construction():
     )
     t = (rng.uniform(size=n) < 0.5).astype(np.float64)
     y = rng.normal(size=n)
-    _, iv = psi_aiptw(model, X, t, y)
+    _, iv = psi_aiptw(*model.predict(X), t, y)
     assert abs(iv.mean_phi) <= 1e-12
 
 
@@ -78,7 +78,7 @@ def test_psi_tmle_two_point_closed_form():
     model = table_model(X, q0=[0.0, 0.0], q1=[0.0, 0.0], g=[0.5, 0.5])
     t = np.array([1.0, 0.0])
     y = np.array([1.0, -1.0])
-    est, iv, eps = psi_tmle(model, X, t, y)
+    est, iv, eps = psi_tmle(*model.predict(X), t, y)
     assert eps == pytest.approx(0.5)
     assert est.psi_hat == pytest.approx(2.0)
     assert abs(iv.mean_phi) <= 1e-8
@@ -93,7 +93,7 @@ def test_psi_tmle_influence_mean_near_zero_random():
     )
     t = (rng.uniform(size=n) < 0.5).astype(np.float64)
     y = rng.normal(size=n)
-    _, iv, _ = psi_tmle(model, X, t, y)
+    _, iv, _ = psi_tmle(*model.predict(X), t, y)
     assert abs(iv.mean_phi) <= 1e-8
 
 
@@ -104,8 +104,8 @@ def test_psi_treg_shifts_plug_in_by_trained_epsilon():
                         epsilon_hat=0.1)
     t = np.array([1.0, 0.0, 1.0])
     y = np.array([1.0, 1.0, 0.0])
-    base = psi_q(model, X).psi_hat
-    est, _ = psi_treg(model, X, t, y)
+    base = psi_q(*model.predict(X)[:2]).psi_hat
+    est, _ = psi_treg(*model.predict(X), t, y, model.epsilon_hat)
     assert est.psi_hat == pytest.approx(base + 0.4)
 
 
@@ -113,7 +113,7 @@ def test_psi_treg_requires_treg_training():
     X = np.array([[0.0]])
     model = FittedModel.from_values(X, np.zeros(1), np.ones(1), np.full(1, 0.5))
     with pytest.raises(UsageError):
-        psi_treg(model, X, np.array([1.0]), np.array([1.0]))
+        apply_estimators(model, X, np.array([1.0]), np.array([1.0]), estimators=(TAG_TREG,))
 
 
 def test_influence_curve_hand_value():
@@ -184,8 +184,8 @@ def test_estimates_are_permutation_invariant():
     y = rng.normal(size=n)
     model = table_model(X, q0, q1, g)
     perm = rng.permutation(n)
-    a, _ = psi_aiptw(model, X, t, y)
-    b, _ = psi_aiptw(model, X[perm], t[perm], y[perm])
+    a, _ = psi_aiptw(*model.predict(X), t, y)
+    b, _ = psi_aiptw(*model.predict(X[perm]), t[perm], y[perm])
     assert a.psi_hat == pytest.approx(b.psi_hat, rel=1e-12)
 
 
@@ -199,8 +199,8 @@ def test_duplicating_every_row_preserves_estimates():
     y = rng.normal(size=n)
     model = table_model(X, q0, q1, g)
     dup = np.concatenate([np.arange(n), np.arange(n)])
-    one, _, _ = psi_tmle(model, X, t, y)
-    two, _, _ = psi_tmle(model, X[dup], t[dup], y[dup])
+    one, _, _ = psi_tmle(*model.predict(X), t, y)
+    two, _, _ = psi_tmle(*model.predict(X[dup]), t[dup], y[dup])
     assert one.psi_hat == pytest.approx(two.psi_hat, rel=1e-12)
 
 
@@ -217,11 +217,12 @@ def test_double_robustness_with_true_propensity_and_zero_outcome_model():
         g=lambda X: lin_true_propensity(X, 1.0),
     )
     t = data.t.astype(np.float64)
-    est, iv = psi_aiptw(model, data.X, t, data.y)
+    q0, q1, g = model.predict(data.X)
+    est, iv = psi_aiptw(q0, q1, g, t, data.y)
     se = iv.phi.std(ddof=1) / np.sqrt(data.n)
     assert abs(est.psi_hat - tau) < 5.0 * se
-    assert abs(psi_q(model, data.X).psi_hat - tau) == pytest.approx(tau)
-    tm, tm_iv, _ = psi_tmle(model, data.X, t, data.y)
+    assert abs(psi_q(q0, q1).psi_hat - tau) == pytest.approx(tau)
+    tm, tm_iv, _ = psi_tmle(q0, q1, g, t, data.y)
     tm_se = tm_iv.phi.std(ddof=1) / np.sqrt(data.n)
     assert abs(tm.psi_hat - tau) < 5.0 * tm_se
 
@@ -249,6 +250,33 @@ def test_apply_estimators_adds_treg_for_treg_models():
     assert model.treg
     reports = apply_estimators(model, X, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
     assert set(reports) == {TAG_Q, TAG_AIPTW, TAG_TMLE, TAG_TREG}
+
+
+def test_apply_estimators_predicts_once_per_row_set():
+    # One predict to trim on, reused when nothing is trimmed; otherwise
+    # exactly one more on the kept rows.
+    rng = np.random.default_rng(31)
+    n = 100
+    X = rng.normal(size=(n, 2))
+    t = (rng.uniform(size=n) < 0.5).astype(np.float64)
+    y = rng.normal(size=n)
+    calls = []
+
+    def q0(Xq):
+        calls.append(len(Xq))
+        return np.zeros(len(Xq))
+
+    model = FittedModel.from_functions(
+        q0, lambda Xq: np.ones(len(Xq)), lambda Xq: lin_true_propensity(Xq, 2.0),
+        epsilon_hat=0.1, treg=True,
+    )
+    apply_estimators(model, X, t, y, (0.0, 1.0), (TAG_Q, TAG_AIPTW, TAG_TMLE, TAG_TREG))
+    assert calls == [n]
+    calls.clear()
+    reports = apply_estimators(model, X, t, y, (0.2, 0.8), (TAG_Q, TAG_AIPTW, TAG_TMLE, TAG_TREG))
+    n_used = reports[TAG_Q].n_used
+    assert 0 < n_used < n
+    assert calls == [n, n_used]
 
 
 def test_apply_estimators_unknown_tag():

@@ -1,5 +1,7 @@
 """Parameter containers, forward passes, scaling and checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -139,11 +141,11 @@ def test_build_predictors_restores_original_units():
     y = rng.normal(loc=100.0, scale=10.0, size=40)
     sc = Scaler.fit(X, y)
     params = small_dragonnet(seed=9)
-    q0_fn, q1_fn, g_fn = build_predictors(ARCH_DRAGONNET, params, sc)
+    q0, q1, g_pred = build_predictors(params, sc)(X)
     q0s, q1s, g = dragonnet_forward(params, sc.transform_x(X))
-    np.testing.assert_allclose(q0_fn(X), sc.restore_y(q0s), rtol=1e-12)
-    np.testing.assert_allclose(q1_fn(X), sc.restore_y(q1s), rtol=1e-12)
-    np.testing.assert_allclose(g_fn(X), g, rtol=0, atol=0)
+    np.testing.assert_allclose(q0, sc.restore_y(q0s), rtol=1e-12)
+    np.testing.assert_allclose(q1, sc.restore_y(q1s), rtol=1e-12)
+    np.testing.assert_allclose(g_pred, g, rtol=0, atol=0)
 
 
 # --- fitted model / checkpoints -------------------------------------------------
@@ -175,9 +177,8 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
     sc = Scaler.fit(X, y)
     params = small_dragonnet(seed=13)
     params.epsilon[...] = 0.0625
-    q0_fn, q1_fn, g_fn = build_predictors(ARCH_DRAGONNET, params, sc)
     payload = make_payload(ARCH_DRAGONNET, params, sc, 0.5, True, "cafe0123cafe0123")
-    model = FittedModel(q0=q0_fn, q1=q1_fn, g=g_fn, epsilon_hat=0.5,
+    model = FittedModel(predict=build_predictors(params, sc), epsilon_hat=0.5,
                         metadata={"architecture": ARCH_DRAGONNET, "treg": True},
                         payload=payload)
     path = tmp_path / "ckpt.json"
@@ -198,9 +199,8 @@ def test_checkpoint_tarnet_roundtrip(tmp_path):
     y = rng.normal(size=20)
     sc = Scaler.fit(X, y)
     params = init_tarnet(make_rng(17), 3, (8,), (6,))
-    q0_fn, q1_fn, g_fn = build_predictors(ARCH_TARNET, params, sc)
     payload = make_payload(ARCH_TARNET, params, sc, 0.0, False, "beef4567beef4567")
-    model = FittedModel(q0=q0_fn, q1=q1_fn, g=g_fn, epsilon_hat=0.0,
+    model = FittedModel(predict=build_predictors(params, sc), epsilon_hat=0.0,
                         metadata={"architecture": ARCH_TARNET, "treg": False},
                         payload=payload)
     path = tmp_path / "t.json"
@@ -220,4 +220,31 @@ def test_load_checkpoint_rejects_foreign_json(tmp_path):
     path = tmp_path / "foreign.json"
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ConfigError):
+        load_checkpoint(path)
+
+
+def _saved_payload(tmp_path):
+    """A valid dragonnet checkpoint's JSON object and the path it lives at."""
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(10, 4))
+    sc = Scaler.fit(X, rng.normal(size=10))
+    params = init_dragonnet(make_rng(21), 4, shared_widths=(4,), outcome_widths=(3,))
+    payload = make_payload(ARCH_DRAGONNET, params, sc, 0.0, False, "0123456789abcdef")
+    return payload, tmp_path / "ckpt.json"
+
+
+def test_load_checkpoint_missing_section_is_a_config_error(tmp_path):
+    payload, path = _saved_payload(tmp_path)
+    del payload["scaler"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match="scaler"):
+        load_checkpoint(path)
+
+
+def test_load_checkpoint_layer_width_mismatch_is_a_shape_error(tmp_path):
+    payload, path = _saved_payload(tmp_path)
+    # head0's first layer takes 5 inputs, but the trunk outputs 4
+    payload["stacks"]["head0"][0]["weights"] = np.ones((3, 5)).tolist()
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ShapeError, match="head0"):
         load_checkpoint(path)

@@ -50,9 +50,9 @@ def test_zero_epochs_returns_the_initial_network():
     init_rng, _ = _child_rngs(np.random.default_rng(5), 2)
     params = init_dragonnet(init_rng, data.p, cfg.shared_widths, cfg.outcome_widths)
     scaler = Scaler.fit(data.X, data.y)
-    q0_fn, _, g_fn = build_predictors("dragonnet", params, scaler)
-    np.testing.assert_array_equal(model.q0(data.X), q0_fn(data.X))
-    np.testing.assert_array_equal(model.g(data.X), g_fn(data.X))
+    q0, _, g = build_predictors(params, scaler)(data.X)
+    np.testing.assert_array_equal(model.q0(data.X), q0)
+    np.testing.assert_array_equal(model.g(data.X), g)
     assert model.metadata["epochs_run"] == 0
 
 
