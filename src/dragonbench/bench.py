@@ -52,7 +52,7 @@ from .estimators import (
 )
 from .models import ARCHITECTURES, FittedModel
 from .objectives import select_observed
-from .train import TrainConfig, train_architecture
+from .train import TrainConfig, check_keys, train_architecture
 
 ARCH_ORACLE = "oracle"
 MIN_SUBSAMPLE_ROWS = 50
@@ -153,6 +153,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        check_keys(cls, d, "experiment config")
         d = dict(d)
         d["trim"] = tuple(d.get("trim", (0.01, 0.99)))
         d["split"] = tuple(d.get("split", (1.0, 0.0, 0.0)))

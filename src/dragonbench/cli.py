@@ -30,7 +30,7 @@ from .bench import (
     truncation_sweep,
 )
 from .datagen import load_csv, write_csv
-from .errors import ConfigError, IngestionError, UsageError
+from .errors import ConfigError, IngestionError, ShapeError, UsageError
 from .estimators import apply_estimators
 from .models import load_checkpoint, save_checkpoint
 from .train import TrainConfig, train_architecture
@@ -219,7 +219,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, UsageError, IngestionError) as err:
+    except (ConfigError, ShapeError, UsageError, IngestionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -128,16 +128,6 @@ def _check_bounds(bounds) -> tuple[float, float]:
     return lo, hi
 
 
-def clever_covariate(t, g):
-    """H(t, g) = t/g - (1-t)/(1-g); scalar in, scalar out."""
-    g_arr = np.asarray(g, dtype=np.float64)
-    t_arr = np.asarray(t, dtype=np.float64)
-    _check_g(g_arr.reshape(-1))
-    _check_t(t_arr.reshape(-1))
-    out = h_values(t_arr, g_arr)
-    return float(out) if out.ndim == 0 else out
-
-
 def trim(g_values, bounds=(0.01, 0.99)) -> TrimResult:
     """Indices of rows whose propensity lies inside [low, high], inclusive."""
     g = _arr("g_values", g_values)

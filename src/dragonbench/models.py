@@ -1,17 +1,18 @@
-"""Three-headed architectures for joint outcome/propensity estimation.
+"""One three-headed network for joint outcome/propensity estimation.
 
-All three share the same skeleton: a stack of dense layers maps covariates
-to a representation z(x), two outcome heads map z to the control and
-treated predictions q0(x), q1(x), and a propensity component produces
-g(x) in (0, 1).
+Every architecture is the same `ThreeHeadNet`: a stack of dense layers maps
+covariates to a representation z(x), two outcome heads map z to the
+control and treated predictions q0(x), q1(x), and a one-layer propensity
+stack (linear map + sigmoid) produces g(x) in (0, 1).  The architectures
+differ in where g reads from and in how they are trained:
 
-  dragonnet  g comes from a single linear map + sigmoid on z, so the
-             treatment signal shapes the shared representation.
-  tarnet     no propensity head on z; an auxiliary logistic regression on
-             the raw covariates (never the representation) supplies g.
-  nednet     dragonnet's skeleton trained in two phases: first the shared
-             stack + propensity head on pure cross-entropy, then fresh
-             outcome heads on the frozen representation.
+  dragonnet  g reads z, so the treatment signal shapes the shared
+             representation.
+  tarnet     g reads the raw covariates x, never z: a logistic regression
+             beside the outcome network.
+  nednet     dragonnet's network trained in two phases: first the shared
+             stack + propensity on pure cross-entropy, then the outcome
+             heads on the frozen representation.
 
 `FittedModel` is the estimation-facing contract: one vectorized
 `predict(X) -> (q0, q1, g)` plus the trained fluctuation scalar.
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, NumericError, ShapeError, UsageError
-from .nn import DenseLayer, apply_stack, forward, init_params
+from .nn import DenseLayer, apply_stack, init_params
 
 ARCH_DRAGONNET = "dragonnet"
 ARCH_TARNET = "tarnet"
@@ -39,150 +40,97 @@ ARCHITECTURES = (ARCH_DRAGONNET, ARCH_TARNET, ARCH_NEDNET)
 
 CHECKPOINT_FORMAT = "dragonbench-checkpoint"
 CHECKPOINT_VERSION = 1
-
-
-def _pairs(layers: Sequence[DenseLayer], leaves, cursor: int):
-    """Take (weights, bias) pairs for `layers` from the flat leaf list."""
-    out = []
-    for _ in layers:
-        out.append((leaves[cursor], leaves[cursor + 1]))
-        cursor += 2
-    return out, cursor
+STACKS = ("shared", "head0", "head1", "propensity")
 
 
 @dataclass
-class DragonnetParams:
-    """Also used by nednet, which trains the same skeleton in two phases."""
+class ThreeHeadNet:
+    """The network of every architecture; `g_reads_x` is True for tarnet only.
+
+    `propensity` is a one-layer stack (linear map + sigmoid) that reads z,
+    or the raw covariates x when `g_reads_x`.  Draw order in `init_network`
+    is shared, head0, head1, propensity, so the shared and outcome draws are
+    the same for every architecture at one seed.
+    """
 
     shared: list[DenseLayer]
     head0: list[DenseLayer]
     head1: list[DenseLayer]
-    propensity: DenseLayer
+    propensity: list[DenseLayer]
+    g_reads_x: bool = False
     epsilon: np.ndarray = field(default_factory=lambda: np.zeros(()))
 
-    def leaves(self) -> list[np.ndarray]:
-        out = []
-        for layer in (*self.shared, *self.head0, *self.head1, self.propensity):
-            out.append(layer.weights)
-            out.append(layer.bias)
-        out.append(self.epsilon)
-        return out
+    def leaves(self, stacks: Sequence[str] = STACKS) -> list[np.ndarray]:
+        """(weights, bias) of every layer of the named stacks, in order; the
+        whole network (the default) ends with epsilon.  SGD updates these
+        arrays in place."""
+        out = [a for name in stacks for l in getattr(self, name) for a in (l.weights, l.bias)]
+        return out + [self.epsilon] if tuple(stacks) == STACKS else out
+
+    def pairs(self, leaves, stacks: Sequence[str] = STACKS) -> dict:
+        """Map each named stack to its (weights, bias) pairs, taken in order
+        from `leaves` (arrays, or Vars while differentiating)."""
+        it = iter(leaves)
+        return {name: [(next(it), next(it)) for _ in getattr(self, name)] for name in stacks}
+
+    def outcomes(self, z, pairs: dict):
+        """(q0, q1), each (n,), from the representation z."""
+        q0 = ad.reshape(apply_stack(self.head0, z, pairs.get("head0")), (-1,))
+        q1 = ad.reshape(apply_stack(self.head1, z, pairs.get("head1")), (-1,))
+        return q0, q1
+
+    def g(self, x, z, pairs: dict):
+        """Propensity scores, (n,), from z or, when `g_reads_x`, from x."""
+        return ad.reshape(
+            apply_stack(self.propensity, x if self.g_reads_x else z, pairs.get("propensity")),
+            (-1,),
+        )
 
     def apply(self, x, leaves=None):
         """Return (q0, q1, g, epsilon); Vars when `leaves` holds Vars."""
         if leaves is None:
             leaves = self.leaves()
-        cur = 0
-        shared_p, cur = _pairs(self.shared, leaves, cur)
-        h0_p, cur = _pairs(self.head0, leaves, cur)
-        h1_p, cur = _pairs(self.head1, leaves, cur)
-        prop_p, cur = _pairs([self.propensity], leaves, cur)
-        eps = leaves[cur]
-        z = apply_stack(self.shared, x, shared_p)
-        q0 = ad.reshape(apply_stack(self.head0, z, h0_p), (-1,))
-        q1 = ad.reshape(apply_stack(self.head1, z, h1_p), (-1,))
-        g = ad.reshape(apply_stack([self.propensity], z, prop_p), (-1,))
-        return q0, q1, g, eps
+        pairs = self.pairs(leaves)
+        z = apply_stack(self.shared, x, pairs["shared"])
+        return (*self.outcomes(z, pairs), self.g(x, z, pairs), leaves[-1])
 
 
-@dataclass
-class TarnetParams:
-    shared: list[DenseLayer]
-    head0: list[DenseLayer]
-    head1: list[DenseLayer]
-    aux_propensity: DenseLayer  # logistic regression on raw covariates
-    epsilon: np.ndarray = field(default_factory=lambda: np.zeros(()))
-
-    def leaves(self) -> list[np.ndarray]:
-        out = []
-        for layer in (*self.shared, *self.head0, *self.head1, self.aux_propensity):
-            out.append(layer.weights)
-            out.append(layer.bias)
-        out.append(self.epsilon)
-        return out
-
-    def apply(self, x, leaves=None):
-        if leaves is None:
-            leaves = self.leaves()
-        cur = 0
-        shared_p, cur = _pairs(self.shared, leaves, cur)
-        h0_p, cur = _pairs(self.head0, leaves, cur)
-        h1_p, cur = _pairs(self.head1, leaves, cur)
-        aux_p, cur = _pairs([self.aux_propensity], leaves, cur)
-        eps = leaves[cur]
-        z = apply_stack(self.shared, x, shared_p)
-        q0 = ad.reshape(apply_stack(self.head0, z, h0_p), (-1,))
-        q1 = ad.reshape(apply_stack(self.head1, z, h1_p), (-1,))
-        # The aux model reads the covariates directly, never z.
-        g = ad.reshape(apply_stack([self.aux_propensity], x, aux_p), (-1,))
-        return q0, q1, g, eps
-
-
-def _outcome_head(rng, rep_dim: int, outcome_widths: Sequence[int]) -> list[DenseLayer]:
-    sizes = [rep_dim, *outcome_widths, 1]
-    acts = ["elu"] * len(outcome_widths) + ["identity"]
-    return init_params(rng, sizes, acts)
-
-
-def init_dragonnet(
+def init_network(
     rng: np.random.Generator,
     n_covariates: int,
     shared_widths: Sequence[int] = (200, 200, 200),
     outcome_widths: Sequence[int] = (100, 100),
-) -> DragonnetParams:
-    """Draw order is shared stack, head0, head1, propensity head, so the
-    shared/outcome initialization matches tarnet's for the same stream."""
+    arch: str = ARCH_DRAGONNET,
+) -> ThreeHeadNet:
     if n_covariates < 1:
         raise ConfigError("n_covariates must be >= 1")
-    shared = init_params(rng, [n_covariates, *shared_widths], "elu")
+    g_reads_x = arch == ARCH_TARNET
     rep = shared_widths[-1]
-    head0 = _outcome_head(rng, rep, outcome_widths)
-    head1 = _outcome_head(rng, rep, outcome_widths)
-    prop = init_params(rng, [rep, 1], "sigmoid")[0]
-    return DragonnetParams(shared, head0, head1, prop)
-
-
-def init_tarnet(
-    rng: np.random.Generator,
-    n_covariates: int,
-    shared_widths: Sequence[int] = (200, 200, 200),
-    outcome_widths: Sequence[int] = (100, 100),
-) -> TarnetParams:
-    if n_covariates < 1:
-        raise ConfigError("n_covariates must be >= 1")
+    head_sizes = [rep, *outcome_widths, 1]
+    head_acts = ["elu"] * len(outcome_widths) + ["identity"]
     shared = init_params(rng, [n_covariates, *shared_widths], "elu")
-    rep = shared_widths[-1]
-    head0 = _outcome_head(rng, rep, outcome_widths)
-    head1 = _outcome_head(rng, rep, outcome_widths)
-    aux = init_params(rng, [n_covariates, 1], "sigmoid")[0]
-    return TarnetParams(shared, head0, head1, aux)
+    head0 = init_params(rng, head_sizes, head_acts)
+    head1 = init_params(rng, head_sizes, head_acts)
+    propensity = init_params(rng, [n_covariates if g_reads_x else rep, 1], "sigmoid")
+    return ThreeHeadNet(shared, head0, head1, propensity, g_reads_x)
 
 
-init_nednet = init_dragonnet
-
-
-def _check_input(params, x) -> np.ndarray:
+def _check_input(x, width: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"x must be 2-d, got shape {x.shape}")
-    expected = params.shared[0].in_dim
-    if x.shape[1] != expected:
-        raise ShapeError(f"x has {x.shape[1]} features, network expects {expected}")
+    if x.shape[1] != width:
+        raise ShapeError(f"x has {x.shape[1]} features, model expects {width}")
     return x
 
 
-def dragonnet_forward(params, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Plain-array forward pass of any of the three networks (`params.apply`
-    knows where g reads from); returns (q0, q1, g), each (n,)."""
-    x = _check_input(params, x)
-    q0, q1, g, _ = params.apply(x)
+def network_forward(net: ThreeHeadNet, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Plain-array forward pass; returns (q0, q1, g), each (n,)."""
+    q0, q1, g, _ = net.apply(_check_input(x, net.shared[0].in_dim))
     for name, arr in (("q0", q0), ("q1", q1), ("g", g)):
         if not np.isfinite(arr).all():
             raise NumericError(f"{name} contains non-finite values")
     return q0, q1, g
-
-
-tarnet_forward = nednet_forward = dragonnet_forward
 
 
 @dataclass(frozen=True)
@@ -294,14 +242,26 @@ class FittedModel:
         )
 
 
-def build_predictors(params, scaler: Scaler):
-    """Wrap one network forward with the scaler; returns predict(X) -> (q0, q1, g)."""
+def build_predictors(net: ThreeHeadNet, scaler: Scaler):
+    """Wrap one network forward with the scaler; returns predict(X) -> (q0, q1, g).
+
+    X must have the scaler's width: ShapeError otherwise, before numpy can
+    broadcast a one-column X across it.
+    """
 
     def predict(X):
-        q0, q1, g = dragonnet_forward(params, scaler.transform_x(np.asarray(X, dtype=np.float64)))
+        X = _check_input(X, scaler.x_mean.shape[0])
+        q0, q1, g = network_forward(net, scaler.transform_x(X))
         return scaler.restore_y(q0), scaler.restore_y(q1), g
 
     return predict
+
+
+def _sections(arch: str) -> dict[str, str]:
+    """Checkpoint v1 section name of each stack: tarnet stores its
+    propensity as `aux_propensity`."""
+    return {name: "aux_propensity" if arch == ARCH_TARNET and name == "propensity" else name
+            for name in STACKS}
 
 
 def _layer_to_json(layer: DenseLayer) -> dict:
@@ -312,25 +272,35 @@ def _layer_to_json(layer: DenseLayer) -> dict:
     }
 
 
-def _layer_from_json(obj: dict) -> DenseLayer:
+def _array(value, where: str) -> np.ndarray:
+    """`value` as float64; ShapeError when its lists are ragged, ConfigError
+    when an entry is not a number."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as err:
+        if "inhomogeneous" in str(err):
+            raise ShapeError(f"checkpoint {where} is ragged") from err
+        raise ConfigError(f"checkpoint {where} is not numeric: {err}") from err
+
+
+def _number(value, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"checkpoint {where} is not a number: {value!r}") from err
+
+
+def _layer_from_json(obj: dict, where: str) -> DenseLayer:
+    _require(obj, ("weights", "bias", "activation"), where)
     return DenseLayer(
-        np.asarray(obj["weights"], dtype=np.float64),
-        np.asarray(obj["bias"], dtype=np.float64),
+        _array(obj["weights"], f"{where} weights"),
+        _array(obj["bias"], f"{where} bias"),
         obj["activation"],
     )
 
 
-def make_payload(arch: str, params, scaler: Scaler, epsilon_hat: float, treg: bool,
+def make_payload(arch: str, net: ThreeHeadNet, scaler: Scaler, epsilon_hat: float, treg: bool,
                  config_digest: str, train_config: dict | None = None) -> dict:
-    stacks = {
-        "shared": [_layer_to_json(l) for l in params.shared],
-        "head0": [_layer_to_json(l) for l in params.head0],
-        "head1": [_layer_to_json(l) for l in params.head1],
-    }
-    if arch == ARCH_TARNET:
-        stacks["aux_propensity"] = [_layer_to_json(params.aux_propensity)]
-    else:
-        stacks["propensity"] = [_layer_to_json(params.propensity)]
     return {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -345,7 +315,10 @@ def make_payload(arch: str, params, scaler: Scaler, epsilon_hat: float, treg: bo
             "y_mean": scaler.y_mean,
             "y_std": scaler.y_std,
         },
-        "stacks": stacks,
+        "stacks": {
+            section: [_layer_to_json(l) for l in getattr(net, name)]
+            for name, section in _sections(arch).items()
+        },
     }
 
 
@@ -386,10 +359,14 @@ def _chain(name: str, layers: list[DenseLayer], width: int, out: int | None = No
 def load_checkpoint(path) -> FittedModel:
     """Rebuild a model from `save_checkpoint` output.
 
-    Missing sections raise ConfigError and layer widths that do not chain
-    raise ShapeError, at load time rather than at the first prediction.
+    A file that is not JSON, a missing section or a non-numeric value raise
+    ConfigError; ragged arrays and layer widths that do not chain raise
+    ShapeError, at load time rather than at the first prediction.
     """
-    obj = json.loads(Path(path).read_text())
+    try:
+        obj = json.loads(Path(path).read_text())
+    except ValueError as err:
+        raise ConfigError(f"{path} is not JSON: {err}") from err
     if not isinstance(obj, dict) or obj.get("format") != CHECKPOINT_FORMAT:
         raise ConfigError(f"not a {CHECKPOINT_FORMAT} file: {path}")
     if obj.get("version") != CHECKPOINT_VERSION:
@@ -399,29 +376,29 @@ def load_checkpoint(path) -> FittedModel:
     arch = obj["architecture"]
     if arch not in ARCHITECTURES:
         raise ConfigError(f"unknown architecture {arch!r}")
-    prop_name = "aux_propensity" if arch == ARCH_TARNET else "propensity"
-    stacks = _require(obj["stacks"], ("shared", "head0", "head1", prop_name), "stacks")
-    shared, head0, head1, prop = (
-        [_layer_from_json(_require(l, ("weights", "bias", "activation"), f"{k} layer"))
-         for l in stacks[k]]
-        for k in ("shared", "head0", "head1", prop_name)
-    )
-    p = shared[0].in_dim if shared else 0
-    rep = _chain("shared", shared, p)
-    _chain("head0", head0, rep, 1)
-    _chain("head1", head1, rep, 1)
-    _chain(prop_name, prop[:1], p if arch == ARCH_TARNET else rep, 1)
-    params = (TarnetParams if arch == ARCH_TARNET else DragonnetParams)(
-        shared, head0, head1, prop[0]
-    )
+    sections = _sections(arch)
+    stacks = _require(obj["stacks"], tuple(sections.values()), "stacks")
+    if not all(isinstance(stacks[s], list) for s in sections.values()):
+        raise ConfigError("checkpoint stacks must be lists of layers")
+    layers = {
+        name: [_layer_from_json(l, f"{section} layer") for l in stacks[section]]
+        for name, section in sections.items()
+    }
+    net = ThreeHeadNet(**layers, g_reads_x=arch == ARCH_TARNET)
+    p = net.shared[0].in_dim if net.shared else 0
+    rep = _chain("shared", net.shared, p)
+    _chain("head0", net.head0, rep, 1)
+    _chain("head1", net.head1, rep, 1)
+    _chain(sections["propensity"], net.propensity, p if net.g_reads_x else rep, 1)
     sc = _require(obj["scaler"], ("x_mean", "x_std", "y_mean", "y_std"), "scaler")
-    x_mean, x_std = (np.asarray(sc[k], dtype=np.float64) for k in ("x_mean", "x_std"))
-    scaler = Scaler(x_mean, x_std, float(sc["y_mean"]), float(sc["y_std"]))
+    x_mean, x_std = (_array(sc[k], f"scaler {k}") for k in ("x_mean", "x_std"))
+    scaler = Scaler(x_mean, x_std, _number(sc["y_mean"], "scaler y_mean"),
+                    _number(sc["y_std"], "scaler y_std"))
     if x_mean.shape != (p,) or x_std.shape != (p,):
         raise ShapeError(f"checkpoint scaler does not have {p} columns")
     return FittedModel(
-        predict=build_predictors(params, scaler),
-        epsilon_hat=float(obj["epsilon_hat"]),
+        predict=build_predictors(net, scaler),
+        epsilon_hat=_number(obj["epsilon_hat"], "epsilon_hat"),
         metadata={"architecture": arch, "treg": bool(obj["treg"]),
                   "config_digest": obj["config_digest"]},
         payload=obj,
@@ -433,16 +410,12 @@ __all__ = [
     "ARCH_DRAGONNET",
     "ARCH_TARNET",
     "ARCH_NEDNET",
-    "DragonnetParams",
-    "TarnetParams",
+    "STACKS",
     "FittedModel",
     "Scaler",
-    "init_dragonnet",
-    "init_tarnet",
-    "init_nednet",
-    "dragonnet_forward",
-    "tarnet_forward",
-    "nednet_forward",
+    "ThreeHeadNet",
+    "init_network",
+    "network_forward",
     "build_predictors",
     "make_payload",
     "save_checkpoint",

@@ -17,9 +17,10 @@ unique minimizer has the closed form implemented by
 mean[H(t_i, g_i) * (y_i - Q~_i)] = 0 holds, which is what ties the trained
 epsilon to the plug-in estimate downstream.
 
-The `*_term` helpers accept autodiff Vars as well as plain arrays; the
-public functions returning `LossBreakdown` are plain-array reporting
-entry points with full validation.
+The `*_term` helpers accept autodiff Vars as well as plain arrays, so one
+set of terms serves training and reporting; `LossBreakdown.weighted`
+records their values and weighted total.  `stationary_epsilon` is the
+plain-array entry point with full input validation.
 """
 
 from __future__ import annotations
@@ -45,6 +46,12 @@ class LossBreakdown:
     xent: float
     treg: float
     total: float
+
+    @classmethod
+    def weighted(cls, outcome, xent, treg, alpha: float, beta: float) -> "LossBreakdown":
+        """The terms as floats, with their total under the weights (alpha, beta)."""
+        outcome, xent, treg = float(outcome), float(xent), float(treg)
+        return cls(outcome, xent, treg, outcome + alpha * xent + beta * treg)
 
     def to_dict(self) -> dict:
         return {
@@ -105,67 +112,6 @@ def h_values(t, g):
 def treg_term(y, q_at_t, t, g, epsilon):
     resid = ad.sub(y, ad.add(q_at_t, epsilon * h_values(t, g)))
     return ad.mean(ad.square(resid))
-
-
-def base_objective(q_at_t, g, y, t, alpha: float = 1.0) -> LossBreakdown:
-    """Outcome squared error plus alpha-weighted propensity cross-entropy."""
-    q_at_t = _as_1d("q_at_t", q_at_t)
-    g = _as_1d("g", g)
-    y = _as_1d("y", y)
-    t = _as_1d("t", t)
-    _check_lengths(q_at_t=q_at_t, g=g, y=y, t=t)
-    _check_binary(t)
-    _check_prob_open(g)
-    if alpha < 0:
-        raise NumericDomainError(f"alpha must be >= 0, got {alpha}")
-    outcome = float(squared_error_term(q_at_t, y))
-    xent = float(cross_entropy_term(g, t))
-    total = outcome + alpha * xent + 0.0
-    return LossBreakdown(outcome=outcome, xent=xent, treg=0.0, total=total)
-
-
-def perturbed_outcome(q, t, g, epsilon):
-    """Q~ = q + epsilon * H(t, g).  Accepts scalars or aligned arrays."""
-    g_arr = np.asarray(g, dtype=np.float64)
-    _check_prob_open(g_arr.reshape(-1) if g_arr.ndim else g_arr.reshape(1))
-    t_arr = np.asarray(t, dtype=np.float64)
-    _check_binary(t_arr.reshape(-1) if t_arr.ndim else t_arr.reshape(1))
-    out = np.asarray(q, dtype=np.float64) + epsilon * h_values(t_arr, g_arr)
-    return float(out) if out.ndim == 0 else out
-
-
-def treg_penalty(y, q_at_t, t, g, epsilon: float) -> float:
-    """Mean squared perturbed residual, mean[(y - Q~(t, x))^2]."""
-    y = _as_1d("y", y)
-    q_at_t = _as_1d("q_at_t", q_at_t)
-    t = _as_1d("t", t)
-    g = _as_1d("g", g)
-    _check_lengths(y=y, q_at_t=q_at_t, t=t, g=g)
-    _check_binary(t)
-    _check_prob_open(g)
-    return float(treg_term(y, q_at_t, t, g, float(epsilon)))
-
-
-def full_objective(
-    q0, q1, g, y, t, alpha: float = 1.0, beta: float = 1.0, epsilon: float = 0.0
-) -> LossBreakdown:
-    """Base objective plus beta-weighted targeted-regularization penalty."""
-    q0 = _as_1d("q0", q0)
-    q1 = _as_1d("q1", q1)
-    g = _as_1d("g", g)
-    y = _as_1d("y", y)
-    t = _as_1d("t", t)
-    _check_lengths(q0=q0, q1=q1, g=g, y=y, t=t)
-    _check_binary(t)
-    _check_prob_open(g)
-    if alpha < 0 or beta < 0:
-        raise NumericDomainError(f"alpha and beta must be >= 0, got {alpha}, {beta}")
-    q_at_t = select_observed(q0, q1, t)
-    outcome = float(squared_error_term(q_at_t, y))
-    xent = float(cross_entropy_term(g, t))
-    treg = float(treg_term(y, q_at_t, t, g, float(epsilon)))
-    total = outcome + alpha * xent + beta * treg
-    return LossBreakdown(outcome=outcome, xent=xent, treg=treg, total=total)
 
 
 def stationary_epsilon(y, q_at_t, t, g) -> float:

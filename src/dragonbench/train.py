@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
-from typing import Callable
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -34,22 +33,27 @@ from .models import (
     ARCH_DRAGONNET,
     ARCH_NEDNET,
     ARCH_TARNET,
+    STACKS,
     FittedModel,
     Scaler,
+    ThreeHeadNet,
     build_predictors,
-    init_dragonnet,
-    init_tarnet,
+    init_network,
     make_payload,
 )
 from .nn import SgdMomentum, apply_stack, make_rng, sgd_momentum_step
 from .objectives import (
     LossBreakdown,
     cross_entropy_term,
-    h_values,
     select_observed,
     squared_error_term,
     stationary_epsilon,
+    treg_term,
 )
+
+# Each nednet phase fits one term: (alpha, beta) = (1, 0) makes its total
+# that term alone.
+NEDNET_WEIGHTS = (1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -110,10 +114,18 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        check_keys(cls, d, "train config")
         d = dict(d)
         d["shared_widths"] = tuple(d.get("shared_widths", (200, 200, 200)))
         d["outcome_widths"] = tuple(d.get("outcome_widths", (100, 100)))
         return cls(**d)
+
+
+def check_keys(cls, d: dict, where: str) -> None:
+    """ConfigError naming every key of `d` that is not a field of `cls`."""
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {', '.join(map(str, unknown))}")
 
 
 def config_digest(cfg: TrainConfig) -> str:
@@ -132,42 +144,29 @@ def _child_rngs(rng: np.random.Generator, k: int) -> list[np.random.Generator]:
     return [np.random.default_rng(int(s)) for s in seeds]
 
 
-def _composite_terms(q0, q1, g, eps, y, t, cfg: TrainConfig):
-    """Outcome, cross-entropy and (if beta > 0) fluctuation penalty terms.
+def _composite_terms(net: ThreeHeadNet, x, y, t, leaves, cfg: TrainConfig):
+    """Outcome, cross-entropy and (if beta > 0) fluctuation penalty terms of
+    `net` run with `leaves` as its parameters.
 
     Works on Vars during training and on plain arrays for reporting; the
     clip keeps the inverse-propensity weights bounded while optimizing.
     """
+    q0, q1, g, eps = net.apply(x, leaves)
     q_at_t = select_observed(q0, q1, t)
     outcome = squared_error_term(q_at_t, y)
     xent = cross_entropy_term(g, t)
     if cfg.beta > 0:
-        gc = ad.clip(g, cfg.h_clip, 1.0 - cfg.h_clip)
-        resid = ad.sub(y, ad.add(q_at_t, eps * h_values(t, gc)))
-        treg = ad.mean(ad.square(resid))
+        treg = treg_term(y, q_at_t, t, ad.clip(g, cfg.h_clip, 1.0 - cfg.h_clip), eps)
     else:
         treg = 0.0
     return outcome, xent, treg
 
 
-def _composite_total(q0, q1, g, eps, y, t, cfg: TrainConfig):
-    outcome, xent, treg = _composite_terms(q0, q1, g, eps, y, t, cfg)
-    total = ad.add(outcome, cfg.alpha * xent)
-    if cfg.beta > 0:
-        total = ad.add(total, cfg.beta * treg)
-    return total
-
-
-def _composite_breakdown(params, Xs, ys, ts, cfg: TrainConfig) -> LossBreakdown:
-    q0, q1, g, eps = params.apply(Xs)
-    outcome, xent, treg = _composite_terms(q0, q1, g, eps, ys, ts, cfg)
-    outcome, xent, treg = float(outcome), float(xent), float(treg)
-    return LossBreakdown(
-        outcome=outcome,
-        xent=xent,
-        treg=treg,
-        total=outcome + cfg.alpha * xent + cfg.beta * treg,
-    )
+def _weighted_total(terms, alpha: float, beta: float):
+    """outcome + alpha * xent (+ beta * treg when beta > 0), on Vars or arrays."""
+    outcome, xent, treg = terms
+    total = ad.add(outcome, alpha * xent)
+    return ad.add(total, beta * treg) if beta > 0 else total
 
 
 def _check_finite(breakdown: LossBreakdown, epoch: int):
@@ -178,14 +177,30 @@ def _check_finite(breakdown: LossBreakdown, epoch: int):
 
 def _sgd_loop(
     leaves: list[np.ndarray],
+    terms,
+    weights: tuple[float, float],
+    train: tuple,
+    val: "tuple | None",
     batch_rows: np.ndarray,
-    batch_loss: Callable,
-    train_breakdown: Callable[[], LossBreakdown],
-    val_breakdown: "Callable[[], LossBreakdown] | None",
     cfg: TrainConfig,
     order_rng: np.random.Generator,
 ) -> dict:
-    """Run up to cfg.epochs epochs; returns traces and restores best leaves."""
+    """Run up to cfg.epochs epochs; returns traces and restores best leaves.
+
+    The loss is the weighted total of terms(x, y, t, leaves) -> (outcome,
+    xent, treg) on minibatches of `train`'s rows `batch_rows`; `train` and
+    `val` are (x, y, t) arrays, and every epoch records the `LossBreakdown`
+    of each whole set.  `val` (None when nothing is held out) drives early
+    stopping, else the training total does.
+    """
+    alpha, beta = weights
+
+    def breakdown(x, y, t):
+        return LossBreakdown.weighted(*terms(x, y, t, leaves), alpha, beta)
+
+    def batch_loss(vs, idx):
+        return _weighted_total(terms(*(a[idx] for a in train), vs), alpha, beta)
+
     state = SgdMomentum.for_params(leaves, cfg.learning_rate, cfg.momentum)
     train_trace: list[LossBreakdown] = []
     val_trace: list[LossBreakdown] = []
@@ -203,11 +218,11 @@ def _sgd_loop(
             except NumericError as err:
                 raise TrainingDivergedError(epoch, "total", err.value) from err
             sgd_momentum_step(leaves, grads, state)
-        tb = train_breakdown()
+        tb = breakdown(*train)
         _check_finite(tb, epoch)
         train_trace.append(tb)
-        if val_breakdown is not None:
-            vb = val_breakdown()
+        if val is not None:
+            vb = breakdown(*val)
             _check_finite(vb, epoch)
             val_trace.append(vb)
             monitor = vb.total
@@ -259,16 +274,16 @@ def _carve_validation(
     return np.sort(perm[n_val:]), np.sort(perm[:n_val])
 
 
-def _finalize_epsilon(params, Xs, ys, ts, cfg: TrainConfig):
+def _finalize_epsilon(net: ThreeHeadNet, Xs, ys, ts, cfg: TrainConfig):
     """Exact coordinate step on the quadratic epsilon term.
 
     Sets epsilon to its closed-form minimizer given the final network, so
     the trained model is stationary in epsilon on the training sample.
     """
-    q0, q1, g, _ = params.apply(Xs)
+    q0, q1, g, _ = net.apply(Xs)
     q_at_t = select_observed(q0, q1, ts)
     gc = np.clip(g, cfg.h_clip, 1.0 - cfg.h_clip)
-    params.epsilon[...] = stationary_epsilon(ys, q_at_t, ts, gc)
+    net.epsilon[...] = stationary_epsilon(ys, q_at_t, ts, gc)
 
 
 def _traces_to_meta(loop: dict) -> dict:
@@ -290,51 +305,64 @@ def _val_arrays(val_data: "Dataset | None", scaler: Scaler):
     )
 
 
-def _train_joint(arch: str, data: Dataset, cfg: TrainConfig, rng, val_data) -> FittedModel:
-    """Shared trainer for dragonnet and tarnet (one joint objective)."""
+def _train(arch: str, data: Dataset, cfg: TrainConfig, rng, val_data) -> FittedModel:
+    """Shared trainer: one joint objective, or nednet's two phases."""
     rng = _resolve_rng(cfg, rng)
     init_rng, order_rng = _child_rngs(rng, 2)
     scaler, Xs, ys, ts = _standardized(data, cfg)
-    if arch == ARCH_TARNET:
-        params = init_tarnet(init_rng, data.p, cfg.shared_widths, cfg.outcome_widths)
-    else:
-        params = init_dragonnet(init_rng, data.p, cfg.shared_widths, cfg.outcome_widths)
-    leaves = params.leaves()
+    net = init_network(init_rng, data.p, cfg.shared_widths, cfg.outcome_widths, arch)
     ext_val = _val_arrays(val_data, scaler)
     batch_rows, carved = _carve_validation(data.n, cfg, order_rng, ext_val is not None)
 
-    def batch_loss(vs, idx):
-        q0, q1, g, eps = params.apply(Xs[idx], vs)
-        return _composite_total(q0, q1, g, eps, ys[idx], ts[idx], cfg)
+    def fit(stacks, terms, weights, train, val):
+        """SGD on the named stacks; `val` None means the carved rows, if any."""
+        if val is None and carved.size:
+            val = tuple(a[carved] for a in train)
+        return _sgd_loop(net.leaves(stacks), terms, weights, train, val, batch_rows, cfg,
+                         order_rng)
 
-    def train_breakdown():
-        return _composite_breakdown(params, Xs, ys, ts, cfg)
+    if arch != ARCH_NEDNET:
+        joint_terms = lambda x, y, t, vs: _composite_terms(net, x, y, t, vs, cfg)
+        loop = fit(STACKS, joint_terms, (cfg.alpha, cfg.beta), (Xs, ys, ts), ext_val)
+        if cfg.beta > 0 and cfg.finalize_epsilon:
+            _finalize_epsilon(net, Xs, ys, ts, cfg)
+        return _fitted(arch, net, scaler, cfg, **_traces_to_meta(loop))
 
-    if ext_val is not None:
-        vX, vy, vt = ext_val
-        val_breakdown = lambda: _composite_breakdown(params, vX, vy, vt, cfg)
-    elif carved.size:
-        val_breakdown = lambda: _composite_breakdown(
-            params, Xs[carved], ys[carved], ts[carved], cfg
-        )
-    else:
-        val_breakdown = None
+    # Phase 1: the shared stack and the propensity on cross-entropy alone.
+    p1_stacks = ("shared", "propensity")
 
-    loop = _sgd_loop(leaves, batch_rows, batch_loss, train_breakdown, val_breakdown, cfg, order_rng)
-    if cfg.beta > 0 and cfg.finalize_epsilon:
-        _finalize_epsilon(params, Xs, ys, ts, cfg)
-    epsilon_hat = float(params.epsilon) * scaler.y_std
+    def p1_terms(x, y, t, vs):
+        pairs = net.pairs(vs, p1_stacks)
+        z = apply_stack(net.shared, x, pairs["shared"])
+        return 0.0, cross_entropy_term(net.g(x, z, pairs), t), 0.0
+
+    loop1 = fit(p1_stacks, p1_terms, NEDNET_WEIGHTS, (Xs, ys, ts), ext_val)
+
+    # Phase 2: the representation is frozen, so it is computed once over all
+    # rows and sliced per minibatch.
+    p2_stacks = ("head0", "head1")
+
+    def p2_terms(z, y, t, vs):
+        q0, q1 = net.outcomes(z, net.pairs(vs, p2_stacks))
+        return squared_error_term(select_observed(q0, q1, t), y), 0.0, 0.0
+
+    Z = apply_stack(net.shared, Xs)
+    Zval = None if ext_val is None else (apply_stack(net.shared, ext_val[0]), *ext_val[1:])
+    loop2 = fit(p2_stacks, p2_terms, NEDNET_WEIGHTS, (Z, ys, ts), Zval)
+    return _fitted(arch, net, scaler, cfg, beta=0.0, **_traces_to_meta(loop2),
+                   phase1=_traces_to_meta(loop1))
+
+
+def _fitted(arch: str, net: ThreeHeadNet, scaler: Scaler, cfg: TrainConfig, **meta) -> FittedModel:
+    """The trained network with its scaler, metadata and checkpoint payload;
+    epsilon comes back in outcome units."""
+    epsilon_hat = float(net.epsilon) * scaler.y_std
+    treg = cfg.beta > 0
     digest = config_digest(cfg)
-    meta = {
-        "architecture": arch,
-        "treg": cfg.beta > 0,
-        "alpha": cfg.alpha,
-        "beta": cfg.beta,
-        "config_digest": digest,
-        **_traces_to_meta(loop),
-    }
-    payload = make_payload(arch, params, scaler, epsilon_hat, cfg.beta > 0, digest, cfg.to_dict())
-    return FittedModel(predict=build_predictors(params, scaler), epsilon_hat=epsilon_hat,
+    meta = {"architecture": arch, "treg": treg, "alpha": cfg.alpha, "beta": cfg.beta,
+            "config_digest": digest, **meta}
+    payload = make_payload(arch, net, scaler, epsilon_hat, treg, digest, cfg.to_dict())
+    return FittedModel(predict=build_predictors(net, scaler), epsilon_hat=epsilon_hat,
                        metadata=meta, payload=payload)
 
 
@@ -342,19 +370,19 @@ def train_dragonnet(
     data: Dataset, cfg: TrainConfig = TrainConfig(), rng=None, val_data: "Dataset | None" = None
 ) -> FittedModel:
     """Joint training of the shared stack, outcome heads and propensity head."""
-    return _train_joint(ARCH_DRAGONNET, data, cfg, rng, val_data)
+    return _train(ARCH_DRAGONNET, data, cfg, rng, val_data)
 
 
 def train_tarnet(
     data: Dataset, cfg: TrainConfig = TrainConfig(), rng=None, val_data: "Dataset | None" = None
 ) -> FittedModel:
-    """TARNET: outcome net without a propensity head on the representation.
+    """TARNET: the propensity reads the raw covariates, never the representation.
 
-    The auxiliary logistic regression is trained alongside from the same
+    This logistic regression is trained alongside from the same
     cross-entropy term; with beta > 0 the fluctuation penalty couples it to
     the outcome heads, otherwise the two evolve independently.
     """
-    return _train_joint(ARCH_TARNET, data, cfg, rng, val_data)
+    return _train(ARCH_TARNET, data, cfg, rng, val_data)
 
 
 def train_nednet(
@@ -362,111 +390,15 @@ def train_nednet(
 ) -> FittedModel:
     """Two-phase training: propensity first, outcomes on the frozen trunk.
 
-    Phase 1 fits the shared stack plus the propensity head on pure
-    cross-entropy.  Phase 2 freezes the representation, re-initializes the
-    outcome heads, and fits them on squared error with a fresh optimizer.
-    Targeted regularization does not apply; epsilon stays 0.
+    Phase 1 fits the shared stack plus the propensity on pure
+    cross-entropy.  Phase 2 freezes the representation and fits the
+    outcome heads, still at their initial draw, on squared error with a
+    fresh optimizer.  Targeted regularization does not apply; epsilon
+    stays 0.
     """
     if cfg.beta > 0:
         raise ConfigError("nednet has no fluctuation parameter; use beta = 0")
-    rng = _resolve_rng(cfg, rng)
-    init_rng, order_rng = _child_rngs(rng, 2)
-    scaler, Xs, ys, ts = _standardized(data, cfg)
-    params = init_dragonnet(init_rng, data.p, cfg.shared_widths, cfg.outcome_widths)
-    ext_val = _val_arrays(val_data, scaler)
-    batch_rows, carved = _carve_validation(data.n, cfg, order_rng, ext_val is not None)
-
-    n_shared = len(params.shared)
-    phase1_leaves = []
-    for layer in (*params.shared, params.propensity):
-        phase1_leaves.append(layer.weights)
-        phase1_leaves.append(layer.bias)
-
-    def p1_propensity(x, vs=None):
-        if vs is None:
-            shared_pairs = prop_pair = None
-        else:
-            shared_pairs = [(vs[2 * i], vs[2 * i + 1]) for i in range(n_shared)]
-            prop_pair = [(vs[2 * n_shared], vs[2 * n_shared + 1])]
-        z = apply_stack(params.shared, x, shared_pairs)
-        return ad.reshape(apply_stack([params.propensity], z, prop_pair), (-1,))
-
-    def p1_loss(vs, idx):
-        return cross_entropy_term(p1_propensity(Xs[idx], vs), ts[idx])
-
-    def p1_breakdown_on(rows):
-        xent = float(cross_entropy_term(p1_propensity(Xs[rows]), ts[rows]))
-        return LossBreakdown(outcome=0.0, xent=xent, treg=0.0, total=xent)
-
-    def xent_breakdown(x, t):
-        xent = float(cross_entropy_term(p1_propensity(x), t))
-        return LossBreakdown(outcome=0.0, xent=xent, treg=0.0, total=xent)
-
-    all_rows = np.arange(data.n)
-    if ext_val is not None:
-        vX, _, vt = ext_val
-        p1_val = lambda: xent_breakdown(vX, vt)
-    elif carved.size:
-        p1_val = lambda: p1_breakdown_on(carved)
-    else:
-        p1_val = None
-    loop1 = _sgd_loop(
-        phase1_leaves, batch_rows, p1_loss, lambda: p1_breakdown_on(all_rows), p1_val, cfg, order_rng
-    )
-
-    # Phase 2: the representation is frozen, so it can be computed once.
-    Z = apply_stack(params.shared, Xs)
-    Zval = apply_stack(params.shared, ext_val[0]) if ext_val is not None else None
-    n_h0 = len(params.head0)
-    phase2_leaves = []
-    for layer in (*params.head0, *params.head1):
-        phase2_leaves.append(layer.weights)
-        phase2_leaves.append(layer.bias)
-
-    def heads_apply(z, vs=None):
-        if vs is None:
-            h0_pairs = h1_pairs = None
-        else:
-            h0_pairs = [(vs[2 * i], vs[2 * i + 1]) for i in range(n_h0)]
-            h1_pairs = [
-                (vs[2 * (n_h0 + i)], vs[2 * (n_h0 + i) + 1]) for i in range(len(params.head1))
-            ]
-        q0 = ad.reshape(apply_stack(params.head0, z, h0_pairs), (-1,))
-        q1 = ad.reshape(apply_stack(params.head1, z, h1_pairs), (-1,))
-        return q0, q1
-
-    def p2_loss(vs, idx):
-        q0, q1 = heads_apply(Z[idx], vs)
-        return squared_error_term(select_observed(q0, q1, ts[idx]), ys[idx])
-
-    def p2_breakdown_on(z, y, t):
-        q0, q1 = heads_apply(z)
-        mse = float(squared_error_term(select_observed(q0, q1, t), y))
-        return LossBreakdown(outcome=mse, xent=0.0, treg=0.0, total=mse)
-
-    if ext_val is not None:
-        p2_val = lambda: p2_breakdown_on(Zval, ext_val[1], ext_val[2])
-    elif carved.size:
-        p2_val = lambda: p2_breakdown_on(Z[carved], ys[carved], ts[carved])
-    else:
-        p2_val = None
-    loop2 = _sgd_loop(
-        phase2_leaves, batch_rows, p2_loss, lambda: p2_breakdown_on(Z, ys, ts), p2_val, cfg, order_rng
-    )
-
-    digest = config_digest(cfg)
-    meta = {
-        "architecture": ARCH_NEDNET,
-        "treg": False,
-        "alpha": cfg.alpha,
-        "beta": 0.0,
-        "config_digest": digest,
-        **_traces_to_meta(loop2),
-        "phase1": _traces_to_meta(loop1),
-    }
-    payload = make_payload(ARCH_NEDNET, params, scaler, 0.0, False, digest, cfg.to_dict())
-    return FittedModel(predict=build_predictors(params, scaler), epsilon_hat=0.0,
-                       metadata=meta, payload=payload)
+    return _train(ARCH_NEDNET, data, cfg, rng, val_data)
 
 
 TRAINERS = {

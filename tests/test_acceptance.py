@@ -29,8 +29,10 @@ from dragonbench.estimators import (
     psi_tmle,
     psi_treg,
 )
-from dragonbench.models import FittedModel, init_dragonnet, init_tarnet
-from dragonbench.train import TrainConfig, _composite_total, train_dragonnet
+from dragonbench.models import FittedModel, init_network
+from dragonbench.train import TrainConfig, _composite_terms, _weighted_total, train_dragonnet
+
+pytestmark = pytest.mark.acceptance
 
 FD_STEP = 1e-5
 FD_REL = 1e-4
@@ -50,10 +52,7 @@ def _random_setup(arch: str, rng):
     shared = tuple(int(w) for w in rng.integers(2, 4, size=int(rng.integers(1, 3))))
     outcome = (int(rng.integers(2, 4)),)
     init_rng = np.random.default_rng(int(rng.integers(0, 2**32)))
-    if arch == "tarnet":
-        params = init_tarnet(init_rng, p, shared, outcome)
-    else:
-        params = init_dragonnet(init_rng, p, shared, outcome)
+    params = init_network(init_rng, p, shared, outcome, arch)
     for leaf in params.leaves():
         leaf += 0.3 * rng.standard_normal(leaf.shape)
     X = rng.standard_normal((n, p))
@@ -62,13 +61,18 @@ def _random_setup(arch: str, rng):
     return params, X, y, t
 
 
+def _objective(params, X, y, t, cfg, leaves=None):
+    terms = _composite_terms(params, X, y, t, leaves, cfg)
+    return _weighted_total(terms, cfg.alpha, cfg.beta)
+
+
 def _fd_coordinate(params, X, y, t, cfg, leaf, j):
     flat = leaf.reshape(-1)
     keep = flat[j]
     flat[j] = keep + FD_STEP
-    up = float(_composite_total(*params.apply(X), y, t, cfg))
+    up = float(_objective(params, X, y, t, cfg))
     flat[j] = keep - FD_STEP
-    down = float(_composite_total(*params.apply(X), y, t, cfg))
+    down = float(_objective(params, X, y, t, cfg))
     flat[j] = keep
     return (up - down) / (2.0 * FD_STEP)
 
@@ -88,7 +92,7 @@ def test_criterion_1_gradient_check():
             for beta in (0.0, float(rng.uniform(0.3, 2.0))):
                 cfg = TrainConfig(alpha=float(rng.uniform(0.3, 2.0)), beta=beta)
                 _, grads = ad.gradients(
-                    leaves, lambda vs: _composite_total(*params.apply(X, vs), y, t, cfg)
+                    leaves, lambda vs: _objective(params, X, y, t, cfg, vs)
                 )
                 pool = [(i, j) for i, leaf in enumerate(leaves) for j in range(leaf.size)]
                 picks = [pool[k] for k in rng.choice(len(pool), size=10, replace=False)]

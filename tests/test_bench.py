@@ -91,6 +91,14 @@ def test_config_roundtrip():
     assert again == cfg
 
 
+def test_config_typos_name_the_unknown_keys():
+    d = tiny_config().to_dict()
+    with pytest.raises(ConfigError, match="replicatoins"):
+        ExperimentConfig.from_dict({**d, "replicatoins": 2})
+    with pytest.raises(ConfigError, match="epoch"):
+        ExperimentConfig.from_dict({**d, "train": {**d["train"], "epoch": 2}})
+
+
 def test_method_label_and_headline():
     assert tiny_config().method_label == "dragonnet"
     assert tiny_config(treg=True).method_label == "dragonnet+treg"

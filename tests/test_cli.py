@@ -149,6 +149,27 @@ def test_ingestion_errors_exit_with_code_two(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_config_typo_exits_with_code_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, train={**TINY_TRAIN, "epoch": 2})
+    rc = main(["bench", "--config", cfg])
+    assert rc == 2
+    assert "epoch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("width", [1, 5])
+def test_estimate_on_a_csv_of_the_wrong_width_exits_with_code_two(tmp_path, capsys, width):
+    ckpt, train_csv, other_csv = tmp_path / "m.json", tmp_path / "d.csv", tmp_path / "o.csv"
+    main(["generate", "--dgp", '{"kind": "lin", "n": 40, "p": 3}',
+          "--seed", "0", "--out", str(train_csv)])
+    main(["train", "--data", str(train_csv), "--epochs", "1", "--out", str(ckpt)])
+    main(["generate", "--dgp", json.dumps({"kind": "lin", "n": 40, "p": width}),
+          "--seed", "1", "--out", str(other_csv)])
+    capsys.readouterr()
+    rc = main(["estimate", "--checkpoint", str(ckpt), "--data", str(other_csv)])
+    assert rc == 2
+    assert f"x has {width} features, model expects 3" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

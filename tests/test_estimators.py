@@ -16,7 +16,6 @@ from dragonbench.estimators import (
     TAG_TREG,
     EstimateReport,
     apply_estimators,
-    clever_covariate,
     diff_in_means,
     influence_curve,
     overlap_flag,
@@ -33,12 +32,6 @@ from dragonbench.models import FittedModel
 def table_model(X, q0, q1, g, epsilon_hat=0.0):
     return FittedModel.from_values(X, np.asarray(q0, float), np.asarray(q1, float),
                                    np.asarray(g, float), epsilon_hat)
-
-
-def test_clever_covariate_hand_values():
-    assert clever_covariate(1.0, 0.5) == pytest.approx(2.0)
-    assert clever_covariate(0.0, 0.5) == pytest.approx(-2.0)
-    assert clever_covariate(1.0, 0.25) == pytest.approx(4.0)
 
 
 def test_psi_q_is_the_mean_contrast():

@@ -1,30 +1,34 @@
-"""Parameter containers, forward passes, scaling and checkpoints."""
+"""The three-head network, forward passes, scaling and checkpoints."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dragonbench
+import dragonbench.models
 from dragonbench.errors import ConfigError, ShapeError, UsageError
 from dragonbench.models import (
     ARCH_DRAGONNET,
+    ARCH_NEDNET,
     ARCH_TARNET,
     FittedModel,
     Scaler,
     build_predictors,
-    dragonnet_forward,
-    init_dragonnet,
-    init_tarnet,
+    init_network,
     load_checkpoint,
     make_payload,
+    network_forward,
     save_checkpoint,
-    tarnet_forward,
 )
 from dragonbench.nn import make_rng
 
+DATA = Path(__file__).parent / "data"
+
 
 def small_dragonnet(seed=0, p=4):
-    return init_dragonnet(make_rng(seed), p, shared_widths=(8, 8), outcome_widths=(6,))
+    return init_network(make_rng(seed), p, shared_widths=(8, 8), outcome_widths=(6,))
 
 
 def test_dragonnet_param_shapes():
@@ -32,25 +36,26 @@ def test_dragonnet_param_shapes():
     assert [l.weights.shape for l in params.shared] == [(8, 5), (8, 8)]
     assert [l.weights.shape for l in params.head0] == [(6, 8), (1, 6)]
     assert [l.weights.shape for l in params.head1] == [(6, 8), (1, 6)]
-    assert params.propensity.weights.shape == (1, 8)
+    assert [l.weights.shape for l in params.propensity] == [(1, 8)]
+    assert not params.g_reads_x
     assert params.epsilon.shape == ()
 
 
 def test_default_widths_match_reference_architecture():
-    params = init_dragonnet(make_rng(0), 25)
+    params = init_network(make_rng(0), 25)
     assert [l.weights.shape[0] for l in params.shared] == [200, 200, 200]
     assert [l.weights.shape[0] for l in params.head0] == [100, 100, 1]
     assert params.head0[-1].activation == "identity"
-    assert params.propensity.activation == "sigmoid"
+    assert [l.activation for l in params.propensity] == ["sigmoid"]
 
 
 def test_zeroed_network_predicts_zero_and_half():
     params = small_dragonnet()
-    for layer in (*params.shared, *params.head0, *params.head1, params.propensity):
+    for layer in (*params.shared, *params.head0, *params.head1, *params.propensity):
         layer.weights[...] = 0.0
         layer.bias[...] = 0.0
     x = np.random.default_rng(0).normal(size=(7, 4))
-    q0, q1, g = dragonnet_forward(params, x)
+    q0, q1, g = network_forward(params, x)
     np.testing.assert_array_equal(q0, np.zeros(7))
     np.testing.assert_array_equal(q1, np.zeros(7))
     np.testing.assert_array_equal(g, np.full(7, 0.5))
@@ -59,33 +64,39 @@ def test_zeroed_network_predicts_zero_and_half():
 def test_shared_and_head_inits_agree_across_architectures():
     # Both architectures must consume the init stream in the same order for
     # everything they have in common.
-    d = init_dragonnet(make_rng(3), 4, (8, 8), (6,))
-    t = init_tarnet(make_rng(3), 4, (8, 8), (6,))
+    d = init_network(make_rng(3), 4, (8, 8), (6,), ARCH_DRAGONNET)
+    t = init_network(make_rng(3), 4, (8, 8), (6,), ARCH_TARNET)
     for a, b in zip((*d.shared, *d.head0, *d.head1), (*t.shared, *t.head0, *t.head1)):
         np.testing.assert_array_equal(a.weights, b.weights)
         np.testing.assert_array_equal(a.bias, b.bias)
 
 
 def test_tarnet_auxiliary_head_reads_raw_covariates():
-    params = init_tarnet(make_rng(1), 9, (8,), (6,))
-    assert params.aux_propensity.weights.shape == (1, 9)
+    params = init_network(make_rng(1), 9, (8,), (6,), ARCH_TARNET)
+    assert params.g_reads_x
+    assert [l.weights.shape for l in params.propensity] == [(1, 9)]
+    # g must follow x alone: a change to the representation leaves it as is
+    x = np.random.default_rng(1).normal(size=(5, 9))
+    g = network_forward(params, x)[2]
+    params.shared[0].weights[...] += 1.0
+    np.testing.assert_array_equal(network_forward(params, x)[2], g)
 
 
 def test_forward_outputs_are_flat_and_finite():
     params = small_dragonnet()
     x = np.random.default_rng(2).normal(size=(11, 4))
-    for out in dragonnet_forward(params, x):
+    for out in network_forward(params, x):
         assert out.shape == (11,)
         assert np.all(np.isfinite(out))
-    tp = init_tarnet(make_rng(2), 4, (8, 8), (6,))
-    q0, q1, g = tarnet_forward(tp, x)
+    tp = init_network(make_rng(2), 4, (8, 8), (6,), ARCH_TARNET)
+    q0, q1, g = network_forward(tp, x)
     assert np.all((g > 0) & (g < 1))
 
 
 def test_forward_rejects_wrong_column_count():
     params = small_dragonnet(p=4)
     with pytest.raises(ShapeError):
-        dragonnet_forward(params, np.ones((3, 5)))
+        network_forward(params, np.ones((3, 5)))
 
 
 def test_apply_with_explicit_leaves_matches_direct_apply():
@@ -142,7 +153,7 @@ def test_build_predictors_restores_original_units():
     sc = Scaler.fit(X, y)
     params = small_dragonnet(seed=9)
     q0, q1, g_pred = build_predictors(params, sc)(X)
-    q0s, q1s, g = dragonnet_forward(params, sc.transform_x(X))
+    q0s, q1s, g = network_forward(params, sc.transform_x(X))
     np.testing.assert_allclose(q0, sc.restore_y(q0s), rtol=1e-12)
     np.testing.assert_allclose(q1, sc.restore_y(q1s), rtol=1e-12)
     np.testing.assert_allclose(g_pred, g, rtol=0, atol=0)
@@ -198,7 +209,7 @@ def test_checkpoint_tarnet_roundtrip(tmp_path):
     X = rng.normal(size=(20, 3))
     y = rng.normal(size=20)
     sc = Scaler.fit(X, y)
-    params = init_tarnet(make_rng(17), 3, (8,), (6,))
+    params = init_network(make_rng(17), 3, (8,), (6,), ARCH_TARNET)
     payload = make_payload(ARCH_TARNET, params, sc, 0.0, False, "beef4567beef4567")
     model = FittedModel(predict=build_predictors(params, sc), epsilon_hat=0.0,
                         metadata={"architecture": ARCH_TARNET, "treg": False},
@@ -228,7 +239,7 @@ def _saved_payload(tmp_path):
     rng = np.random.default_rng(21)
     X = rng.normal(size=(10, 4))
     sc = Scaler.fit(X, rng.normal(size=10))
-    params = init_dragonnet(make_rng(21), 4, shared_widths=(4,), outcome_widths=(3,))
+    params = init_network(make_rng(21), 4, shared_widths=(4,), outcome_widths=(3,))
     payload = make_payload(ARCH_DRAGONNET, params, sc, 0.0, False, "0123456789abcdef")
     return payload, tmp_path / "ckpt.json"
 
@@ -248,3 +259,77 @@ def test_load_checkpoint_layer_width_mismatch_is_a_shape_error(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ShapeError, match="head0"):
         load_checkpoint(path)
+
+
+def test_named_leaf_subsets_map_back_to_their_stacks():
+    params = small_dragonnet()
+    heads = ("head0", "head1")
+    leaves = params.leaves(heads)
+    # a subset carries no epsilon; the whole network ends with it
+    assert len(leaves) == 2 * (2 + 2)
+    assert all(leaf is not params.epsilon for leaf in leaves)
+    pairs = params.pairs(leaves, heads)
+    assert list(pairs) == list(heads)
+    for name in heads:
+        for (w, b), layer in zip(pairs[name], getattr(params, name)):
+            assert w is layer.weights and b is layer.bias
+
+
+@pytest.mark.parametrize("width", [1, 6])
+def test_predict_rejects_a_wrong_width_before_scaling(width):
+    # a 1-column X would broadcast across the 4-column scaler unchecked
+    sc = Scaler.fit(np.random.default_rng(2).normal(size=(10, 4)), np.arange(10.0))
+    predict = build_predictors(small_dragonnet(p=4), sc)
+    with pytest.raises(ShapeError, match="4"):
+        predict(np.ones((3, width)))
+
+
+@pytest.mark.parametrize("arch", [ARCH_DRAGONNET, ARCH_TARNET, ARCH_NEDNET])
+def test_v1_checkpoint_fixtures_still_predict_the_same(arch):
+    # written by the per-architecture containers this network replaced
+    stored = json.loads((DATA / "checkpoint_v1_predictions.json").read_text())
+    model = load_checkpoint(DATA / f"checkpoint_v1_{arch}.json")
+    assert model.metadata["architecture"] == arch
+    assert model.epsilon_hat == stored[arch]["epsilon_hat"]
+    for got, name in zip(model.predict(np.array(stored["X"])), ("q0", "q1", "g")):
+        np.testing.assert_allclose(got, stored[arch][name], rtol=0, atol=1e-12)
+
+
+def _ragged_weights(payload):
+    payload["stacks"]["shared"][0]["weights"][0] = [1.0]
+
+
+def _text_weights(payload):
+    payload["stacks"]["head1"][0]["weights"][0][0] = "one"
+
+
+def _text_epsilon(payload):
+    payload["epsilon_hat"] = "small"
+
+
+def _number_for_a_stack(payload):
+    payload["stacks"]["head0"] = 5
+
+
+@pytest.mark.parametrize("corrupt, error, match", [
+    (_ragged_weights, ShapeError, "shared layer weights is ragged"),
+    (_text_weights, ConfigError, "head1 layer weights is not numeric"),
+    (_text_epsilon, ConfigError, "epsilon_hat is not a number"),
+    (_number_for_a_stack, ConfigError, "stacks must be lists"),
+    (None, ConfigError, "not JSON"),
+])
+def test_load_checkpoint_malformed_values_raise_typed_errors(tmp_path, corrupt, error, match):
+    payload, path = _saved_payload(tmp_path)
+    if corrupt is None:
+        path.write_text(json.dumps(payload)[:-10])
+    else:
+        corrupt(payload)
+        path.write_text(json.dumps(payload))
+    with pytest.raises(error, match=match):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("module", [dragonbench, dragonbench.models])
+def test_every_exported_name_resolves(module):
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing

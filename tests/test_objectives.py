@@ -2,32 +2,43 @@
 
 stationary_epsilon is checked three independent ways: a numeric scan of
 the penalty, the estimating equation it must zero, and the autodiff
-derivative of the full objective at that point.
+derivative of the full objective at that point.  Weighted totals go
+through `LossBreakdown.weighted`, as the training traces do.
 """
 
 import numpy as np
 import pytest
 
 import dragonbench.autodiff as ad
-from dragonbench.errors import NumericDomainError, NumericError, ShapeError
+from dragonbench.errors import ConfigError, NumericDomainError, NumericError, ShapeError
 from dragonbench.objectives import (
-    base_objective,
+    LossBreakdown,
     cross_entropy_term,
-    full_objective,
     h_values,
-    perturbed_outcome,
     select_observed,
     squared_error_term,
     stationary_epsilon,
-    treg_penalty,
+    treg_term,
 )
+from dragonbench.train import TrainConfig, _weighted_total
+
+
+def objective(q_at_t, g, y, t, alpha=1.0, beta=0.0, epsilon=0.0) -> LossBreakdown:
+    """Every term on plain arrays, with its total under (alpha, beta)."""
+    terms = (squared_error_term(q_at_t, y), cross_entropy_term(g, t),
+             treg_term(y, q_at_t, t, g, epsilon))
+    return LossBreakdown.weighted(*terms, alpha, beta)
+
+
+def treg_penalty(y, q_at_t, t, g, epsilon) -> float:
+    return float(treg_term(y, q_at_t, t, g, epsilon))
 
 
 def test_uninformative_propensity_gives_log_two():
     y = np.array([1.0, -2.0, 0.3])
     t = np.array([1.0, 0.0, 1.0])
     g = np.full(3, 0.5)
-    br = base_objective(q_at_t=y, g=g, y=y, t=t, alpha=1.0)
+    br = objective(q_at_t=y, g=g, y=y, t=t, alpha=1.0)
     assert br.outcome == 0.0
     assert br.xent == pytest.approx(np.log(2.0), rel=1e-15)
     assert br.total == pytest.approx(np.log(2.0), rel=1e-15)
@@ -35,7 +46,7 @@ def test_uninformative_propensity_gives_log_two():
 
 def test_single_example_hand_computation():
     # (3 - 1)^2 + (-log 0.8) = 4.2231435513...
-    br = base_objective(
+    br = objective(
         q_at_t=np.array([1.0]),
         g=np.array([0.8]),
         y=np.array([3.0]),
@@ -52,8 +63,8 @@ def test_alpha_scales_only_the_propensity_term():
     t = np.array([1.0, 0.0])
     g = np.array([0.7, 0.3])
     q = np.array([0.5, 2.5])
-    a0 = base_objective(q, g, y, t, alpha=0.0)
-    a2 = base_objective(q, g, y, t, alpha=2.0)
+    a0 = objective(q, g, y, t, alpha=0.0)
+    a2 = objective(q, g, y, t, alpha=2.0)
     assert a0.total == pytest.approx(a0.outcome)
     assert a2.total == pytest.approx(a0.outcome + 2.0 * a0.xent)
 
@@ -68,8 +79,14 @@ def test_h_values_hand_cases():
 
 
 def test_perturbed_outcome_both_arms():
-    assert perturbed_outcome(1.0, 1.0, 0.5, 0.2) == pytest.approx(1.4)
-    assert perturbed_outcome(1.0, 0.0, 0.5, 0.2) == pytest.approx(0.6)
+    # Q~ = q + eps * H: at q = 1, g = 0.5, eps = 0.2 it is 1.4 for the
+    # treated and 0.6 for the control, so the penalty vanishes at those y
+    q, g, eps = np.array([1.0]), np.array([0.5]), 0.2
+    for t, q_tilde in ((1.0, 1.4), (0.0, 0.6)):
+        assert treg_penalty(np.array([q_tilde]), q, np.array([t]), g, eps) == pytest.approx(
+            0.0, abs=1e-24
+        )
+        assert treg_penalty(np.array([q_tilde + 1.0]), q, np.array([t]), g, eps) == pytest.approx(1.0)
 
 
 def test_treg_penalty_zero_at_perfect_fit():
@@ -95,11 +112,16 @@ def test_full_objective_totals_are_the_exact_sum():
     g = rng.uniform(0.1, 0.9, size=n)
     y = rng.normal(size=n)
     t = (rng.uniform(size=n) < 0.5).astype(np.float64)
-    br = full_objective(q0, q1, g, y, t, alpha=0.7, beta=1.3, epsilon=0.05)
+    q_at_t = select_observed(q0, q1, t)
+    br = objective(q_at_t, g, y, t, alpha=0.7, beta=1.3, epsilon=0.05)
     assert br.total == br.outcome + 0.7 * br.xent + 1.3 * br.treg
-    base = base_objective(select_observed(q0, q1, t), g, y, t, alpha=0.7)
+    base = objective(q_at_t, g, y, t, alpha=0.7)
     assert br.outcome == base.outcome
     assert br.xent == base.xent
+    # the training graph's total is the same sum, bit for bit
+    terms = (br.outcome, br.xent, br.treg)
+    assert float(_weighted_total(terms, 0.7, 1.3)) == br.total
+    assert float(_weighted_total(terms, 0.7, 0.0)) == base.total
 
 
 def test_objective_is_permutation_invariant():
@@ -109,8 +131,8 @@ def test_objective_is_permutation_invariant():
     g = rng.uniform(0.2, 0.8, size=n)
     t = (rng.uniform(size=n) < 0.4).astype(np.float64)
     perm = rng.permutation(n)
-    a = full_objective(q0, q1, g, y, t, 1.0, 1.0, 0.1)
-    b = full_objective(q0[perm], q1[perm], g[perm], y[perm], t[perm], 1.0, 1.0, 0.1)
+    a = objective(select_observed(q0, q1, t), g, y, t, 1.0, 1.0, 0.1)
+    b = objective(select_observed(q0, q1, t)[perm], g[perm], y[perm], t[perm], 1.0, 1.0, 0.1)
     assert a.total == pytest.approx(b.total, rel=1e-14)
 
 
@@ -197,27 +219,25 @@ def test_squared_error_term_oracle():
 
 def test_length_mismatch_rejected():
     with pytest.raises(ShapeError):
-        base_objective(np.ones(3), np.full(3, 0.5), np.ones(3), np.array([1.0, 0.0]))
+        stationary_epsilon(np.ones(3), np.ones(3), np.array([1.0, 0.0]), np.full(3, 0.5))
 
 
 def test_non_binary_treatment_rejected():
     with pytest.raises(NumericDomainError):
-        base_objective(np.ones(2), np.full(2, 0.5), np.ones(2), np.array([1.0, 0.5]))
+        stationary_epsilon(np.ones(2), np.zeros(2), np.array([1.0, 0.5]), np.full(2, 0.5))
 
 
 def test_propensity_outside_open_interval_rejected():
     with pytest.raises(NumericDomainError):
-        base_objective(np.ones(2), np.array([0.0, 0.5]), np.ones(2), np.array([1.0, 0.0]))
+        stationary_epsilon(np.ones(2), np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 0.5]))
 
 
 def test_negative_weights_rejected():
-    y = np.ones(2)
-    t = np.array([1.0, 0.0])
-    g = np.full(2, 0.5)
-    with pytest.raises(NumericDomainError):
-        base_objective(y, g, y, t, alpha=-0.1)
-    with pytest.raises(NumericDomainError):
-        full_objective(y, y, g, y, t, alpha=1.0, beta=-1.0)
+    # the objective's weights are validated where they are set
+    with pytest.raises(ConfigError):
+        TrainConfig(alpha=-0.1)
+    with pytest.raises(ConfigError):
+        TrainConfig(alpha=1.0, beta=-1.0)
 
 
 def test_stationary_epsilon_degenerate_curvature():

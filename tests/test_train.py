@@ -11,7 +11,7 @@ import pytest
 from dragonbench.datagen import Dataset, gen_dgp_lin
 from dragonbench.errors import ConfigError, TrainingDivergedError
 from dragonbench.estimators import propensity_accuracy
-from dragonbench.models import build_predictors, init_dragonnet, load_checkpoint, save_checkpoint
+from dragonbench.models import build_predictors, init_network, load_checkpoint, save_checkpoint
 from dragonbench.objectives import select_observed, stationary_epsilon
 from dragonbench.train import (
     TrainConfig,
@@ -48,7 +48,7 @@ def test_zero_epochs_returns_the_initial_network():
     model = train_dragonnet(data, cfg)
     # rebuild the same init by replaying the seed derivation
     init_rng, _ = _child_rngs(np.random.default_rng(5), 2)
-    params = init_dragonnet(init_rng, data.p, cfg.shared_widths, cfg.outcome_widths)
+    params = init_network(init_rng, data.p, cfg.shared_widths, cfg.outcome_widths)
     scaler = Scaler.fit(data.X, data.y)
     q0, _, g = build_predictors(params, scaler)(data.X)
     np.testing.assert_array_equal(model.q0(data.X), q0)
@@ -149,6 +149,16 @@ def test_nednet_phase_traces():
     assert model.epsilon_hat == 0.0
 
 
+def test_nednet_phase_totals_are_their_single_term():
+    # Each phase fits one term whatever alpha is: its total is that term alone.
+    data = toy_data(n=150, seed=8)
+    model = train_nednet(data, TrainConfig(alpha=0.5, epochs=4, patience=0, val_fraction=0.2,
+                                           shared_widths=(10,), outcome_widths=(6,), seed=2))
+    for key in ("train_loss_trace", "val_loss_trace"):
+        assert all(e["total"] == e["xent"] for e in model.metadata["phase1"][key])
+        assert all(e["total"] == e["outcome"] for e in model.metadata[key])
+
+
 def test_training_is_deterministic_per_seed():
     data = toy_data(n=120, seed=9)
     cfg = TrainConfig(**SMALL)
@@ -245,3 +255,8 @@ def test_config_validation():
         TrainConfig(val_fraction=0.9)
     with pytest.raises(ConfigError):
         TrainConfig(h_clip=0.6)
+
+
+def test_config_typo_names_the_unknown_key():
+    with pytest.raises(ConfigError, match="epoch$"):
+        TrainConfig.from_dict({"epoch": 3, "seed": 1})
