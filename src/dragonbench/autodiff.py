@@ -6,7 +6,9 @@ mean/sum and elementwise arithmetic).  Every primitive accepts either plain
 ndarrays or `Var` nodes; when no operand is a `Var` the primitive evaluates
 eagerly and returns a plain array, so the same loss code serves both the
 training path (exact gradients) and value-only paths such as finite
-difference checks.
+difference checks.  Eager calls compute no backward-only arrays: whatever
+only a gradient needs (elu's slope, clip's mask) is built inside the
+backward closure, so value-only forwards pay for the value alone.
 
 Gradients are exact for the supported primitives, not numerical
 approximations.  Everything is float64.
@@ -181,19 +183,23 @@ def sigmoid(a):
 
 
 def elu(a):
-    """elu(x) = x for x > 0, exp(x) - 1 otherwise.  C1 at the origin."""
+    """elu(x) = x for x > 0, exp(x) - 1 otherwise.  C1 at the origin.
+
+    Computed in one fresh buffer as max(x, expm1(min(x, 0))); because
+    expm1(x) >= x for x <= 0, it and its slope min(out + 1, 1) match the
+    two-branch form where(x > 0, x, expm1(x)) bit for bit.
+    """
     av = _value(a)
-    out = np.where(av > 0, av, np.expm1(np.minimum(av, 0.0)))
-    local = np.where(av > 0, 1.0, out + 1.0)
-    return _node(out, (a, lambda g: g * local))
+    out = np.minimum(av, 0.0, out=np.empty_like(av))
+    np.expm1(out, out=out)
+    np.maximum(av, out, out=out)
+    return _node(out, (a, lambda g: g * np.minimum(out + 1.0, 1.0)))
 
 
 def clip(a, lo: float, hi: float):
     """Clamp values into [lo, hi].  Gradient is 1 inside the band, 0 outside."""
     av = _value(a)
-    out = np.clip(av, lo, hi)
-    mask = ((av >= lo) & (av <= hi)).astype(np.float64)
-    return _node(out, (a, lambda g: g * mask))
+    return _node(np.clip(av, lo, hi), (a, lambda g: g * ((av >= lo) & (av <= hi))))
 
 
 def reshape(a, shape):

@@ -24,6 +24,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from operator import index
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +53,7 @@ from .estimators import (
 )
 from .models import ARCHITECTURES, FittedModel
 from .objectives import select_observed
-from .train import TrainConfig, check_keys, train_architecture
+from .train import TrainConfig, check_keys, config_values, train_architecture
 
 ARCH_ORACLE = "oracle"
 MIN_SUBSAMPLE_ROWS = 50
@@ -93,21 +94,24 @@ class ExperimentConfig:
     estimators: "tuple[str, ...] | None" = None
     workers: int = 1
 
+    @config_values("experiment config")
     def __post_init__(self):
         if not isinstance(self.dgp, dict) or "kind" not in self.dgp:
             raise ConfigError("dgp must be a dict with a 'kind' entry")
+        if not isinstance(self.train, TrainConfig):
+            raise ConfigError("train must be a TrainConfig or a dict of its fields")
         if self.architecture not in (*ARCHITECTURES, ARCH_ORACLE):
             raise ConfigError(f"unknown architecture {self.architecture!r}")
         if self.architecture == "nednet" and self.treg:
             raise ConfigError("nednet does not take the targeted-regularization term")
-        if self.replications < 1:
+        if index(self.replications) < 1:
             raise ConfigError("replications must be >= 1")
-        if self.base_seed < 0:
+        if index(self.base_seed) < 0:
             raise ConfigError("base_seed must be >= 0")
-        if self.workers < 1:
+        if index(self.workers) < 1:
             raise ConfigError("workers must be >= 1")
-        object.__setattr__(self, "trim", (float(self.trim[0]), float(self.trim[1])))
-        if not 0.0 <= self.trim[0] < self.trim[1] <= 1.0:
+        object.__setattr__(self, "trim", tuple(float(q) for q in self.trim))
+        if len(self.trim) != 2 or not 0.0 <= self.trim[0] < self.trim[1] <= 1.0:
             raise ConfigError(f"trim bounds must satisfy 0 <= low < high <= 1, got {self.trim}")
         object.__setattr__(self, "split", tuple(float(q) for q in self.split))
         if len(self.split) != 3:
@@ -152,15 +156,12 @@ class ExperimentConfig:
         }
 
     @classmethod
+    @config_values("experiment config")
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         check_keys(cls, d, "experiment config")
         d = dict(d)
-        d["trim"] = tuple(d.get("trim", (0.01, 0.99)))
-        d["split"] = tuple(d.get("split", (1.0, 0.0, 0.0)))
-        if "train" in d and isinstance(d["train"], dict):
+        if isinstance(d.get("train"), dict):
             d["train"] = TrainConfig.from_dict(d["train"])
-        if d.get("estimators") is not None:
-            d["estimators"] = tuple(d["estimators"])
         return cls(**d)
 
 

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
+from operator import index
 
 import numpy as np
 
@@ -56,6 +58,17 @@ from .objectives import (
 NEDNET_WEIGHTS = (1.0, 0.0)
 
 
+@contextmanager
+def config_values(where: str):
+    """Re-raise the TypeError or ValueError of a malformed `where` as ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"malformed {where}: {err}") from err
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Objective weights, optimizer settings and architecture sizes.
@@ -84,6 +97,7 @@ class TrainConfig:
     standardize: bool = True
     seed: int | None = None
 
+    @config_values("train config")
     def __post_init__(self):
         if self.alpha < 0 or self.beta < 0:
             raise ConfigError(f"alpha and beta must be >= 0, got {self.alpha}, {self.beta}")
@@ -91,19 +105,23 @@ class TrainConfig:
             raise ConfigError("learning_rate must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.batch_size < 1:
+        object.__setattr__(self, "shared_widths", tuple(self.shared_widths))
+        object.__setattr__(self, "outcome_widths", tuple(self.outcome_widths))
+        if index(self.batch_size) < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.epochs < 0:
+        if index(self.epochs) < 0:
             raise ConfigError("epochs must be >= 0")
-        if self.patience < 0:
+        if index(self.patience) < 0:
             raise ConfigError("patience must be >= 0")
+        if self.seed is not None and index(self.seed) < 0:
+            raise ConfigError("seed must be >= 0")
         if not 0.0 <= self.val_fraction <= 0.5:
             raise ConfigError(f"val_fraction must be in [0, 0.5], got {self.val_fraction}")
         if not 0.0 < self.h_clip < 0.5:
             raise ConfigError(f"h_clip must be in (0, 0.5), got {self.h_clip}")
         if not self.shared_widths or not self.outcome_widths:
             raise ConfigError("shared_widths and outcome_widths must be nonempty")
-        if any(w < 1 for w in (*self.shared_widths, *self.outcome_widths)):
+        if any(index(w) < 1 for w in (*self.shared_widths, *self.outcome_widths)):
             raise ConfigError("layer widths must be positive")
 
     def to_dict(self) -> dict:
@@ -113,11 +131,9 @@ class TrainConfig:
         return d
 
     @classmethod
+    @config_values("train config")
     def from_dict(cls, d: dict) -> "TrainConfig":
         check_keys(cls, d, "train config")
-        d = dict(d)
-        d["shared_widths"] = tuple(d.get("shared_widths", (200, 200, 200)))
-        d["outcome_widths"] = tuple(d.get("outcome_widths", (100, 100)))
         return cls(**d)
 
 

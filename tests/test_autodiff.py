@@ -135,6 +135,39 @@ def test_elu_value_and_gradient():
     np.testing.assert_allclose(grads[0], np.where(x > 0, 1.0, np.exp(x)), rtol=1e-12)
 
 
+def test_elu_is_bit_identical_to_the_two_branch_form():
+    rng = np.random.default_rng(29)
+    tiny = np.finfo(np.float64).tiny
+    special = np.array(
+        [0.0, -0.0, tiny, -tiny, tiny / 2**20, -tiny / 2**20, 5e-324, -5e-324,
+         -1e-300, 1e-300, -1e-17, 1e-17, -37.0, -800.0, 800.0,
+         -np.inf, np.inf, np.nan]
+    )
+    assert type(ad.elu(-0.5)) is np.ndarray
+    draws = [special]
+    for k in range(200):
+        if k % 4 == 0:
+            # Arbitrary bit patterns: every exponent, subnormals, NaNs, infs.
+            x = rng.integers(0, 2**64, size=(9, 7), dtype=np.uint64).view(np.float64)
+        else:
+            x = rng.normal(scale=10.0 ** rng.uniform(-20, 3), size=(9, 7))
+        draws.append(x)
+    for x in draws:
+        before = x.copy()
+        ref = np.where(x > 0, x, np.expm1(np.minimum(x, 0)))
+        ref_slope = np.where(x > 0, 1.0, ref + 1.0)
+        out = ad.elu(x)
+        assert type(out) is np.ndarray
+        assert np.array_equal(out, ref, equal_nan=True)
+
+        v = ad.Var(x)
+        weights = rng.normal(size=x.shape)
+        with np.errstate(over="ignore"):  # vsum of huge bit-pattern draws
+            (g,) = ad.grad(ad.vsum(ad.mul(ad.elu(v), weights)), [v])
+        assert np.array_equal(g, weights * ref_slope, equal_nan=True)
+        assert np.array_equal(x, before, equal_nan=True)
+
+
 def test_sigmoid_extreme_inputs_stay_in_open_interval():
     z = np.array([-800.0, -40.0, 0.0, 40.0, 800.0])
     s = ad.stable_sigmoid(z)

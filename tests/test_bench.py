@@ -99,6 +99,23 @@ def test_config_typos_name_the_unknown_keys():
         ExperimentConfig.from_dict({**d, "train": {**d["train"], "epoch": 2}})
 
 
+WRONGLY_TYPED = {
+    "trim-scalar": {"trim": 0.5},
+    "widths-scalar": {"train": {"shared_widths": 32}},
+    "epochs-string": {"train": {"epochs": "10"}},
+    "epochs-float": {"train": {"epochs": 10.0}},
+    "replications-string": {"replications": "2"},
+    "no-dgp": {"dgp": None},  # None drops the key
+}
+
+
+@pytest.mark.parametrize("case", WRONGLY_TYPED)
+def test_wrongly_typed_config_values_raise_config_error(case):
+    d = {**tiny_config().to_dict(), **WRONGLY_TYPED[case]}
+    with pytest.raises(ConfigError, match="malformed"):
+        ExperimentConfig.from_dict({k: v for k, v in d.items() if v is not None})
+
+
 def test_method_label_and_headline():
     assert tiny_config().method_label == "dragonnet"
     assert tiny_config(treg=True).method_label == "dragonnet+treg"

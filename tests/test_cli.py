@@ -156,6 +156,14 @@ def test_config_typo_exits_with_code_two(tmp_path, capsys):
     assert "epoch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", [{"replications": "2"}, {"trim": 0.5},
+                                      {"train": {**TINY_TRAIN, "epochs": "10"}}])
+def test_wrongly_typed_config_exits_with_code_two(tmp_path, capsys, override):
+    rc = main(["bench", "--config", write_config(tmp_path, **override)])
+    assert rc == 2
+    assert "malformed" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("width", [1, 5])
 def test_estimate_on_a_csv_of_the_wrong_width_exits_with_code_two(tmp_path, capsys, width):
     ckpt, train_csv, other_csv = tmp_path / "m.json", tmp_path / "d.csv", tmp_path / "o.csv"

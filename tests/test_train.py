@@ -260,3 +260,10 @@ def test_config_validation():
 def test_config_typo_names_the_unknown_key():
     with pytest.raises(ConfigError, match="epoch$"):
         TrainConfig.from_dict({"epoch": 3, "seed": 1})
+
+
+@pytest.mark.parametrize("field, value", [("epochs", "10"), ("epochs", 10.0),
+                                          ("shared_widths", 32), ("seed", "1")])
+def test_wrongly_typed_train_config_is_a_config_error(field, value):
+    with pytest.raises(ConfigError, match="malformed"):
+        TrainConfig(**{field: value})
