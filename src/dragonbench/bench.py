@@ -20,6 +20,7 @@ from summaries while staying in the raw results.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -53,7 +54,8 @@ from .estimators import (
 )
 from .models import ARCHITECTURES, FittedModel
 from .objectives import select_observed
-from .train import TrainConfig, check_keys, config_values, train_architecture
+from .schema import check_bools, check_keys, config_values, plain
+from .train import TrainConfig, train_architecture
 
 ARCH_ORACLE = "oracle"
 MIN_SUBSAMPLE_ROWS = 50
@@ -69,6 +71,13 @@ DEFAULT_GRID = (
     ("dragonnet+treg", "dragonnet", True),
 )
 DEFAULT_BASELINE = "tarnet"
+
+# dgp kind -> (generator, defaults for keys the spec may leave out).
+DGP_GENERATORS = {
+    "lin": (gen_dgp_lin, {"tau": 1.0, "confounding_strength": 1.0, "noise_sd": 1.0}),
+    "irrelevant": (gen_dgp_irrelevant, {"tau": 1.0}),
+    "ihdp_like": (gen_dgp_ihdp_like, {"n": 747, "p": 25}),
+}
 
 
 @dataclass(frozen=True)
@@ -96,6 +105,7 @@ class ExperimentConfig:
 
     @config_values("experiment config")
     def __post_init__(self):
+        check_bools(self)
         if not isinstance(self.dgp, dict) or "kind" not in self.dgp:
             raise ConfigError("dgp must be a dict with a 'kind' entry")
         if not isinstance(self.train, TrainConfig):
@@ -140,20 +150,7 @@ class ExperimentConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "dgp": dict(self.dgp),
-            "architecture": self.architecture,
-            "treg": self.treg,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "trim": list(self.trim),
-            "split": list(self.split),
-            "replications": self.replications,
-            "base_seed": self.base_seed,
-            "train": self.train.to_dict(),
-            "estimators": None if self.estimators is None else list(self.estimators),
-            "workers": self.workers,
-        }
+        return plain(self)
 
     @classmethod
     @config_values("experiment config")
@@ -185,47 +182,14 @@ class RunResult:
     wall_time: float
 
     def to_dict(self) -> dict:
-        return {
-            "replication": self.replication,
-            "method": self.method,
-            "trim_bounds": list(self.trim_bounds),
-            "truth": self.truth,
-            "reports": {
-                scope: {tag: rep.to_dict() for tag, rep in by_tag.items()}
-                for scope, by_tag in self.reports.items()
-            },
-            "abs_errors": {s: dict(v) for s, v in self.abs_errors.items()},
-            "estimation_errors": dict(self.estimation_errors),
-            "dim": self.dim,
-            "dim_abs_error": self.dim_abs_error,
-            "heldout_mse": self.heldout_mse,
-            "heldout_accuracy": self.heldout_accuracy,
-            "overlap": self.overlap,
-            "diverged": self.diverged,
-            "wall_time": self.wall_time,
-        }
+        return plain(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunResult":
-        return cls(
-            replication=d["replication"],
-            method=d["method"],
-            trim_bounds=tuple(d["trim_bounds"]),
-            truth=d["truth"],
-            reports={
-                scope: {tag: EstimateReport.from_dict(r) for tag, r in by_tag.items()}
-                for scope, by_tag in d["reports"].items()
-            },
-            abs_errors={s: dict(v) for s, v in d["abs_errors"].items()},
-            estimation_errors=dict(d["estimation_errors"]),
-            dim=d["dim"],
-            dim_abs_error=d["dim_abs_error"],
-            heldout_mse=d["heldout_mse"],
-            heldout_accuracy=d["heldout_accuracy"],
-            overlap=d["overlap"],
-            diverged=d["diverged"],
-            wall_time=d["wall_time"],
-        )
+        check_keys(cls, d, "run")
+        reports = {scope: {tag: EstimateReport.from_dict(r) for tag, r in by_tag.items()}
+                   for scope, by_tag in d["reports"].items()}
+        return cls(**{**d, "trim_bounds": tuple(d["trim_bounds"]), "reports": reports})
 
     def usable(self) -> bool:
         return self.diverged is None and not self.overlap and self.truth is not None
@@ -263,9 +227,14 @@ class ImprovementStats:
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """One method's runs; reports store (config, runs) and derive the summary."""
+
     config: ExperimentConfig
     runs: tuple[RunResult, ...]
-    summary: SummaryTable
+
+    @property
+    def summary(self) -> SummaryTable:
+        return summarize(self.config, self.runs)
 
 
 @dataclass(frozen=True)
@@ -276,38 +245,15 @@ class GridResult:
 
 
 def make_dataset(dgp: dict, rng: np.random.Generator, replication: int) -> Dataset:
+    """Draw one replication's dataset from a `dgp` spec.
+
+    A generator kind takes its generator's parameters, bar `rng`, as keys,
+    with the defaults of DGP_GENERATORS or else of the generator; a missing,
+    malformed or unknown key is a ConfigError that names it.
+    """
     kind = dgp.get("kind")
-    if kind == "lin":
-        return gen_dgp_lin(
-            n=int(dgp["n"]),
-            p=int(dgp["p"]),
-            tau=float(dgp.get("tau", 1.0)),
-            confounding_strength=float(dgp.get("confounding_strength", 1.0)),
-            noise_sd=float(dgp.get("noise_sd", 1.0)),
-            rng=rng,
-        )
-    if kind == "irrelevant":
-        kwargs = {}
-        for key in ("confounding_strength", "outcome_scale", "noise_sd"):
-            if key in dgp:
-                kwargs[key] = float(dgp[key])
-        return gen_dgp_irrelevant(
-            n=int(dgp["n"]),
-            p_confound=int(dgp["p_confound"]),
-            p_outcome_only=int(dgp["p_outcome_only"]),
-            tau=float(dgp.get("tau", 1.0)),
-            rng=rng,
-            **kwargs,
-        )
-    if kind == "ihdp_like":
-        return gen_dgp_ihdp_like(
-            n=int(dgp.get("n", 747)),
-            p=int(dgp.get("p", 25)),
-            rng=rng,
-            target_sample_ate=float(dgp.get("target_sample_ate", 4.0)),
-            noise_sd=float(dgp.get("noise_sd", 1.0)),
-        )
     if kind == "csv":
+        check_keys(("kind", "paths"), dgp, "csv dgp")
         paths = dgp.get("paths")
         if not paths:
             raise ConfigError("csv dgp needs a nonempty 'paths' list")
@@ -316,7 +262,21 @@ def make_dataset(dgp: dict, rng: np.random.Generator, replication: int) -> Datas
                 f"replication {replication} has no csv file: only {len(paths)} paths"
             )
         return load_csv(paths[replication])
-    raise ConfigError(f"unknown dgp kind {kind!r}")
+    if kind not in DGP_GENERATORS:
+        raise ConfigError(f"unknown dgp kind {kind!r}")
+    generator, defaults = DGP_GENERATORS[kind]
+    signature = inspect.signature(generator, eval_str=True)
+    params = {k: p for k, p in signature.parameters.items() if k != "rng"}
+    check_keys({"kind", *params}, dgp, f"{kind} dgp")
+    spec = {**defaults, **dgp}
+    kwargs = {}
+    for name, param in params.items():
+        if name in spec:
+            with config_values(f"{kind} dgp key {name!r}"):
+                kwargs[name] = param.annotation(spec[name])
+        elif param.default is param.empty:
+            raise ConfigError(f"{kind} dgp needs the key {name!r}")
+    return generator(rng=rng, **kwargs)
 
 
 def _replication_streams(base_seed: int, replication: int):
@@ -511,7 +471,7 @@ def run_experiment(
 ) -> ExperimentResult:
     per_rep = _run_all_replications(config, subsample_rate)
     runs = tuple(lists[0] for lists in per_rep)
-    return ExperimentResult(config=config, runs=runs, summary=summarize(config, runs))
+    return ExperimentResult(config=config, runs=runs)
 
 
 def compare_methods(method_errors, baseline_errors) -> ImprovementStats:
@@ -627,23 +587,43 @@ def truncation_sweep(
         if not 0.0 <= lo < hi <= 1.0:
             raise ConfigError(f"invalid trim level ({lo}, {hi})")
     per_rep = _run_all_replications(config, bounds_list=levels)
-    out = {}
-    for i, level in enumerate(levels):
-        cfg = replace(config, trim=level)
-        runs = tuple(lists[i] for lists in per_rep)
-        out[level] = ExperimentResult(config=cfg, runs=runs, summary=summarize(cfg, runs))
-    return out
+    return {
+        level: ExperimentResult(replace(config, trim=level), tuple(lists[i] for lists in per_rep))
+        for i, level in enumerate(levels)
+    }
 
 
 # --- reporting ---------------------------------------------------------------
 
-def _summary_rows(results: "ExperimentResult | GridResult") -> list[SummaryRow]:
-    if isinstance(results, ExperimentResult):
-        return list(results.summary.rows)
-    rows: list[SummaryRow] = []
-    for label in results.results:
-        rows.extend(results.results[label].summary.rows)
-    return rows
+def _by_method(results: "ExperimentResult | GridResult") -> dict[str, ExperimentResult]:
+    if isinstance(results, GridResult):
+        return results.results
+    return {results.config.method_label: results}
+
+
+def _sweep_label(key) -> str:
+    """A sweep key as written in reports: "low:high" for a trim level, else the rate."""
+    return f"{key[0]}:{key[1]}" if isinstance(key, tuple) else repr(float(key))
+
+
+def _write_report(out_dir, csv_name, json_name, results: dict, key_column, bundle: dict):
+    """Write the summary CSV and the JSON bundle under out_dir; returns their paths.
+
+    The CSV has one line per summary row of each result in `results`; with
+    a `key_column`, each line starts with the result's key.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path, json_path = out_dir / csv_name, out_dir / json_name
+    with csv_path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(((key_column,) if key_column else ()) + SUMMARY_COLUMNS)
+        for key, res in results.items():
+            for row in res.summary.rows:
+                values = [row.method, row.estimator, repr(row.mean_abs_err), repr(row.std_err), row.n_runs]
+                writer.writerow(([key] if key_column else []) + values)
+    json_path.write_text(json.dumps(bundle))
+    return csv_path, json_path
 
 
 def emit_report(results: "ExperimentResult | GridResult", out_dir) -> dict[str, Path]:
@@ -652,59 +632,24 @@ def emit_report(results: "ExperimentResult | GridResult", out_dir) -> dict[str, 
     Refuses to write anything when there are no summary rows, so a failed
     experiment never leaves a half-report behind.
     """
-    rows = _summary_rows(results)
-    if not rows:
+    methods = _by_method(results)
+    if not any(res.summary.rows for res in methods.values()):
         raise ConfigError("nothing to report: no usable runs")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    summary_path = out_dir / "summary.csv"
-    with summary_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [row.method, row.estimator, repr(row.mean_abs_err), repr(row.std_err), row.n_runs]
-            )
-    if isinstance(results, ExperimentResult):
-        methods = {results.config.method_label: results}
-        extra = {}
-    else:
-        methods = results.results
-        extra = {
-            "baseline": results.baseline,
-            "comparisons": {
-                label: {
-                    "pct_improved": st.pct_improved,
-                    "up_avg": st.up_avg,
-                    "down_avg": st.down_avg,
-                    "n_pairs": st.n_pairs,
-                }
-                for label, st in results.comparisons.items()
-            },
-        }
-    bundle = {
-        "methods": {
-            label: {
-                "config": res.config.to_dict(),
-                "runs": [r.to_dict() for r in res.runs],
-            }
-            for label, res in methods.items()
-        },
-        **extra,
-    }
-    runs_path = out_dir / "runs.json"
-    runs_path.write_text(json.dumps(bundle))
-    return {"summary": summary_path, "runs": runs_path}
+    bundle = {"methods": plain(methods)}
+    if isinstance(results, GridResult):
+        bundle.update(baseline=results.baseline, comparisons=plain(results.comparisons))
+    summary, runs = _write_report(out_dir, "summary.csv", "runs.json", methods, None, bundle)
+    return {"summary": summary, "runs": runs}
 
 
+@config_values("report")
 def load_report(runs_path) -> dict[str, ExperimentResult]:
     """Rebuild per-method ExperimentResults (summaries recomputed) from runs.json."""
-    bundle = json.loads(Path(runs_path).read_text())
     out = {}
-    for label, entry in bundle["methods"].items():
-        cfg = ExperimentConfig.from_dict(entry["config"])
+    for label, entry in json.loads(Path(runs_path).read_text())["methods"].items():
+        check_keys(ExperimentResult, entry, "report entry")
         runs = tuple(RunResult.from_dict(d) for d in entry["runs"])
-        out[label] = ExperimentResult(config=cfg, runs=runs, summary=summarize(cfg, runs))
+        out[label] = ExperimentResult(ExperimentConfig.from_dict(entry["config"]), runs)
     return out
 
 
@@ -712,36 +657,15 @@ def emit_sweep_report(sweep: dict, out_dir, kind: str) -> dict[str, Path]:
     """Long-format CSV + JSON bundle for a sweep keyed by rate or trim level."""
     if not sweep:
         raise ConfigError("empty sweep")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{kind}_sweep.csv"
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("sweep",) + SUMMARY_COLUMNS)
-        for key in sweep:
-            label = f"{key[0]}:{key[1]}" if isinstance(key, tuple) else repr(float(key))
-            for row in sweep[key].summary.rows:
-                writer.writerow(
-                    [label, row.method, row.estimator, repr(row.mean_abs_err), repr(row.std_err), row.n_runs]
-                )
-    bundle = {
-        "kind": kind,
-        "levels": {
-            (f"{k[0]}:{k[1]}" if isinstance(k, tuple) else repr(float(k))): {
-                "config": res.config.to_dict(),
-                "runs": [r.to_dict() for r in res.runs],
-            }
-            for k, res in sweep.items()
-        },
-    }
-    json_path = out_dir / f"{kind}_sweep.json"
-    json_path.write_text(json.dumps(bundle))
+    levels = {_sweep_label(key): res for key, res in sweep.items()}
+    csv_path, json_path = _write_report(out_dir, f"{kind}_sweep.csv", f"{kind}_sweep.json", levels,
+                                        "sweep", {"kind": kind, "levels": plain(levels)})
     return {"csv": csv_path, "json": json_path}
 
 
 def format_summary(results: "ExperimentResult | GridResult") -> str:
     """Plain-text table: one row per method x estimator, plus comparisons."""
-    rows = _summary_rows(results)
+    rows = [row for res in _by_method(results).values() for row in res.summary.rows]
     lines = [f"{'method':<18} {'estimator':<10} {'mean_abs_err':>12} {'std_err':>10} {'n':>4}"]
     for r in rows:
         lines.append(

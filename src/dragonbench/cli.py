@@ -33,6 +33,7 @@ from .datagen import load_csv, write_csv
 from .errors import ConfigError, IngestionError, ShapeError, UsageError
 from .estimators import apply_estimators
 from .models import load_checkpoint, save_checkpoint
+from .schema import config_values
 from .train import TrainConfig, train_architecture
 
 
@@ -54,7 +55,7 @@ def _parse_levels(text: str):
 
 
 def _load_config(args) -> ExperimentConfig:
-    with open(args.config) as fh:
+    with open(args.config) as fh, config_values(f"config file {args.config}"):
         cfg = ExperimentConfig.from_dict(json.load(fh))
     overrides = {}
     for name in ("architecture", "treg", "alpha", "beta", "trim", "replications", "workers"):

@@ -29,6 +29,7 @@ from .objectives import (
     select_observed,
     stationary_epsilon,
 )
+from .schema import check_keys, plain
 
 OVERLAP_ACCURACY_THRESHOLD = 0.90
 
@@ -76,27 +77,12 @@ class EstimateReport:
     dropped_high: int
 
     def to_dict(self) -> dict:
-        return {
-            "estimator_tag": self.estimator_tag,
-            "psi_hat": self.psi_hat,
-            "n_used": self.n_used,
-            "trim_bounds": list(self.trim_bounds),
-            "mean_phi": self.mean_phi,
-            "dropped_low": self.dropped_low,
-            "dropped_high": self.dropped_high,
-        }
+        return plain(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EstimateReport":
-        return cls(
-            estimator_tag=d["estimator_tag"],
-            psi_hat=d["psi_hat"],
-            n_used=d["n_used"],
-            trim_bounds=tuple(d["trim_bounds"]),
-            mean_phi=d["mean_phi"],
-            dropped_low=d["dropped_low"],
-            dropped_high=d["dropped_high"],
-        )
+        check_keys(cls, d, "estimate report")
+        return cls(**{**d, "trim_bounds": tuple(d["trim_bounds"])})
 
 
 def _arr(name: str, x) -> np.ndarray:

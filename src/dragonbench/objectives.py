@@ -31,6 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import NumericDomainError, NumericError, ShapeError
+from .schema import plain
 
 # Cross-entropy clamp: keeps log() finite without touching values that are
 # already well inside (0, 1).  Estimator-level trimming is a separate,
@@ -54,12 +55,7 @@ class LossBreakdown:
         return cls(outcome, xent, treg, outcome + alpha * xent + beta * treg)
 
     def to_dict(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "xent": self.xent,
-            "treg": self.treg,
-            "total": self.total,
-        }
+        return plain(self)
 
 
 def _as_1d(name: str, x) -> np.ndarray:

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from operator import index
 
 import numpy as np
@@ -52,21 +51,11 @@ from .objectives import (
     stationary_epsilon,
     treg_term,
 )
+from .schema import check_bools, check_keys, config_values, plain
 
 # Each nednet phase fits one term: (alpha, beta) = (1, 0) makes its total
 # that term alone.
 NEDNET_WEIGHTS = (1.0, 0.0)
-
-
-@contextmanager
-def config_values(where: str):
-    """Re-raise the TypeError or ValueError of a malformed `where` as ConfigError."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"malformed {where}: {err}") from err
 
 
 @dataclass(frozen=True)
@@ -99,6 +88,7 @@ class TrainConfig:
 
     @config_values("train config")
     def __post_init__(self):
+        check_bools(self)
         if self.alpha < 0 or self.beta < 0:
             raise ConfigError(f"alpha and beta must be >= 0, got {self.alpha}, {self.beta}")
         if self.learning_rate <= 0:
@@ -125,23 +115,13 @@ class TrainConfig:
             raise ConfigError("layer widths must be positive")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["shared_widths"] = list(self.shared_widths)
-        d["outcome_widths"] = list(self.outcome_widths)
-        return d
+        return plain(self)
 
     @classmethod
     @config_values("train config")
     def from_dict(cls, d: dict) -> "TrainConfig":
         check_keys(cls, d, "train config")
         return cls(**d)
-
-
-def check_keys(cls, d: dict, where: str) -> None:
-    """ConfigError naming every key of `d` that is not a field of `cls`."""
-    unknown = sorted(set(d) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ConfigError(f"unknown {where} keys: {', '.join(map(str, unknown))}")
 
 
 def config_digest(cfg: TrainConfig) -> str:

@@ -106,6 +106,8 @@ WRONGLY_TYPED = {
     "epochs-float": {"train": {"epochs": 10.0}},
     "replications-string": {"replications": "2"},
     "no-dgp": {"dgp": None},  # None drops the key
+    "treg-string": {"treg": "false"},
+    "standardize-string": {"train": {"standardize": "no"}},
 }
 
 
@@ -145,6 +147,18 @@ def test_make_dataset_kinds():
     assert ihdp.sample_ate == pytest.approx(4.0, abs=1e-12)
     with pytest.raises(ConfigError):
         make_dataset({"kind": "parametric"}, rng, 0)
+
+
+@pytest.mark.parametrize("dgp, match", [
+    ({"kind": "lin", "p": 3}, "needs the key 'n'"),
+    ({"kind": "lin", "n": "abc", "p": 3}, "malformed lin dgp key 'n'"),
+    ({"kind": "irrelevant", "n": 40, "p_confound": 2}, "needs the key 'p_outcome_only'"),
+    ({"kind": "lin", "n": 40, "p": 3, "noise": 1.0}, "unknown lin dgp keys: noise$"),
+    ({"kind": "csv", "paths": ["a.csv"], "path": "a.csv"}, "unknown csv dgp keys: path$"),
+], ids=["missing", "malformed", "irrelevant-missing", "unknown", "csv-unknown"])
+def test_bad_dgp_keys_raise_config_error_naming_the_key(dgp, match):
+    with pytest.raises(ConfigError, match=match):
+        make_dataset(dgp, np.random.default_rng(0), 0)
 
 
 def test_make_dataset_csv_mode_maps_replications_to_paths(tmp_path):
@@ -493,6 +507,26 @@ def test_report_roundtrip_preserves_runs_and_summary(tmp_path):
     assert again.summary == result.summary
     for a, b in zip(result.runs, again.runs):
         assert a.to_dict() == b.to_dict()
+    rewritten = emit_report(again, tmp_path / "again")
+    for name, path in paths.items():
+        assert rewritten[name].read_bytes() == path.read_bytes()
+
+
+MALFORMED_REPORTS = {
+    "cut-off": lambda text: text[:-10],
+    "no-methods": lambda text: text.replace('"methods"', '"levels"'),
+    "no-runs": lambda text: text.replace('"runs"', '"rns"'),
+    "run-key-typo": lambda text: text.replace('"dim_abs_error"', '"dim_abs_err"'),
+    "no-psi-hat": lambda text: text.replace('"psi_hat"', '"psi"'),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_REPORTS)
+def test_load_report_of_a_malformed_file_raises_config_error(tmp_path, case):
+    path = emit_report(run_experiment(tiny_config(replications=1)), tmp_path)["runs"]
+    path.write_text(MALFORMED_REPORTS[case](path.read_text()))
+    with pytest.raises(ConfigError):
+        load_report(path)
 
 
 def test_emit_report_grid_bundle(tmp_path):
@@ -512,7 +546,7 @@ def test_emit_report_refuses_empty_results(tmp_path):
     cfg = tiny_config(replications=1)
     runs = [replace(run_replication(cfg, 0)[0], overlap=True)]
     empty = run_experiment(cfg)
-    empty = type(empty)(config=cfg, runs=tuple(runs), summary=summarize(cfg, runs))
+    empty = type(empty)(config=cfg, runs=tuple(runs))
     out = tmp_path / "never"
     with pytest.raises(ConfigError):
         emit_report(empty, out)

@@ -1,6 +1,7 @@
 """End-to-end command invocations through main()."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -157,11 +158,21 @@ def test_config_typo_exits_with_code_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("override", [{"replications": "2"}, {"trim": 0.5},
-                                      {"train": {**TINY_TRAIN, "epochs": "10"}}])
+                                      {"train": {**TINY_TRAIN, "epochs": "10"}}, None])
 def test_wrongly_typed_config_exits_with_code_two(tmp_path, capsys, override):
-    rc = main(["bench", "--config", write_config(tmp_path, **override)])
+    cfg = write_config(tmp_path, **(override or {}))
+    if override is None:  # not JSON: the file is cut off after its dgp entry
+        text = Path(cfg).read_text()
+        Path(cfg).write_text(text[: text.index("}") + 1])
+    rc = main(["bench", "--config", cfg])
     assert rc == 2
     assert "malformed" in capsys.readouterr().err
+
+
+def test_generate_with_a_missing_dgp_key_exits_with_code_two(tmp_path, capsys):
+    rc = main(["generate", "--dgp", '{"kind": "lin", "p": 2}', "--out", str(tmp_path / "d.csv")])
+    assert rc == 2
+    assert "needs the key 'n'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("width", [1, 5])

@@ -1,5 +1,6 @@
 """The three-head network, forward passes, scaling and checkpoints."""
 
+import inspect
 import json
 from pathlib import Path
 
@@ -333,3 +334,7 @@ def test_load_checkpoint_malformed_values_raise_typed_errors(tmp_path, corrupt, 
 def test_every_exported_name_resolves(module):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing
+    if module is dragonbench:
+        public = {name for name, value in vars(module).items()
+                  if not name.startswith("_") and not inspect.ismodule(value)}
+        assert not public - set(module.__all__)
