@@ -7,6 +7,8 @@ TMLE and the trained-fluctuation plug-in) run over trimmed propensity
 scores.  `bench` replicates experiments over seeds and compares methods.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bench import (
     DEFAULT_GRID,
     DEFAULT_TRUNCATION_LEVELS,
@@ -28,7 +30,6 @@ from .bench import (
     run_experiment,
     run_grid,
     run_replication,
-    stratified_comparison,
     subsample_sweep,
     summarize,
     truncation_sweep,
@@ -60,7 +61,6 @@ from .estimators import (
     TAG_Q,
     TAG_TMLE,
     TAG_TREG,
-    Estimate,
     EstimateReport,
     InfluenceValues,
     TrimResult,
@@ -91,86 +91,10 @@ from .objectives import (
     stationary_epsilon,
     treg_term,
 )
-from .train import TrainConfig, train_architecture, train_dragonnet, train_nednet, train_tarnet
+from .train import TrainConfig, train_architecture, train_dragonnet
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ARCHITECTURES",
-    "DEFAULT_GRID",
-    "DEFAULT_TRUNCATION_LEVELS",
-    "ESTIMATOR_TAGS",
-    "TAG_AIPTW",
-    "TAG_Q",
-    "TAG_TMLE",
-    "TAG_TREG",
-    "ConfigError",
-    "Dataset",
-    "Estimate",
-    "EstimateReport",
-    "EstimationError",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "FittedModel",
-    "GridResult",
-    "ImprovementStats",
-    "InfluenceValues",
-    "IngestionError",
-    "LossBreakdown",
-    "NumericDomainError",
-    "NumericError",
-    "RunResult",
-    "Scaler",
-    "ShapeError",
-    "SplitIndices",
-    "SplitSpec",
-    "SummaryRow",
-    "SummaryTable",
-    "TrainConfig",
-    "TrainingDivergedError",
-    "TrimResult",
-    "UsageError",
-    "apply_estimators",
-    "compare_methods",
-    "cross_entropy_term",
-    "diff_in_means",
-    "emit_report",
-    "emit_sweep_report",
-    "format_summary",
-    "format_truncation_table",
-    "gen_dgp_ihdp_like",
-    "gen_dgp_irrelevant",
-    "gen_dgp_lin",
-    "h_values",
-    "influence_curve",
-    "load_checkpoint",
-    "load_csv",
-    "load_report",
-    "make_dataset",
-    "overlap_flag",
-    "paired_headline_errors",
-    "propensity_accuracy",
-    "psi_aiptw",
-    "psi_q",
-    "psi_tmle",
-    "psi_treg",
-    "run_experiment",
-    "run_grid",
-    "run_replication",
-    "save_checkpoint",
-    "select_observed",
-    "split",
-    "squared_error_term",
-    "stationary_epsilon",
-    "stratified_comparison",
-    "subsample_sweep",
-    "summarize",
-    "train_architecture",
-    "train_dragonnet",
-    "train_nednet",
-    "train_tarnet",
-    "treg_term",
-    "trim",
-    "truncation_sweep",
-    "write_csv",
-]
+# Every public name imported above; the submodules themselves are not exported.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -240,43 +240,15 @@ def _topo(root: Var) -> list[Var]:
     return order
 
 
-def grad(loss: Var, wrt: Sequence[Var]) -> list[Array]:
-    """Gradients of a scalar `loss` with respect to each Var in `wrt`.
-
-    Parameters the loss does not depend on get an exact zero gradient.
-    """
-    if not isinstance(loss, Var):
-        # Loss never touched a Var; every gradient is structurally zero.
-        return [np.zeros_like(v.value) for v in wrt]
-    if loss.value.ndim != 0:
-        raise ShapeError(f"loss must be scalar, got shape {loss.value.shape}")
-    grads: dict[int, Array] = {id(loss): np.ones((), dtype=np.float64)}
-    for node in reversed(_topo(loss)):
-        g = grads.get(id(node))
-        if g is None:
-            continue
-        for parent, vjp in node._parents:
-            contribution = vjp(g)
-            prev = grads.get(id(parent))
-            if prev is None:
-                grads[id(parent)] = np.asarray(contribution, dtype=np.float64)
-            else:
-                grads[id(parent)] = prev + contribution
-    out = []
-    for v in wrt:
-        g = grads.get(id(v))
-        out.append(np.zeros_like(v.value) if g is None else np.asarray(g).reshape(v.value.shape))
-    return out
-
-
 def gradients(
     params: Sequence[Array], loss_fn: Callable[[list[Var]], "Var | Array"]
 ) -> tuple[float, list[Array]]:
     """Evaluate `loss_fn` on Var-wrapped copies of `params`; return (loss, grads).
 
     `loss_fn` receives one Var per parameter array and must return a scalar
-    built from the primitives in this module.  Raises NumericError if the
-    loss comes out non-finite.
+    built from the primitives in this module.  Parameters the loss does not
+    depend on get an exact zero gradient.  Raises NumericError if the loss
+    comes out non-finite.
     """
     vs = [Var(np.asarray(p, dtype=np.float64)) for p in params]
     out = loss_fn(vs)
@@ -286,6 +258,19 @@ def gradients(
     value = float(raw)
     if not np.isfinite(value):
         raise NumericError(f"loss evaluated to a non-finite value: {value!r}", value)
-    if not isinstance(out, Var):
-        return value, [np.zeros_like(v.value) for v in vs]
-    return value, grad(out, vs)
+    grads: dict[int, Array] = {}
+    if isinstance(out, Var):  # else the loss never touched a Var: every gradient is zero
+        grads[id(out)] = np.ones((), dtype=np.float64)
+        for node in reversed(_topo(out)):
+            g = grads.get(id(node))
+            if g is None:
+                continue
+            for parent, vjp in node._parents:
+                contribution = vjp(g)
+                prev = grads.get(id(parent))
+                if prev is None:
+                    grads[id(parent)] = np.asarray(contribution, dtype=np.float64)
+                else:
+                    grads[id(parent)] = prev + contribution
+    return value, [np.zeros_like(v.value) if id(v) not in grads
+                   else np.asarray(grads[id(v)]).reshape(v.value.shape) for v in vs]

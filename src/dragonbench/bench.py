@@ -185,6 +185,7 @@ class RunResult:
         return plain(self)
 
     @classmethod
+    @config_values("run")
     def from_dict(cls, d: dict) -> "RunResult":
         check_keys(cls, d, "run")
         reports = {scope: {tag: EstimateReport.from_dict(r) for tag, r in by_tag.items()}
@@ -249,8 +250,11 @@ def make_dataset(dgp: dict, rng: np.random.Generator, replication: int) -> Datas
 
     A generator kind takes its generator's parameters, bar `rng`, as keys,
     with the defaults of DGP_GENERATORS or else of the generator; a missing,
-    malformed or unknown key is a ConfigError that names it.
+    malformed or unknown key is a ConfigError that names it, and so is a
+    `dgp` that is not a dict.
     """
+    if not isinstance(dgp, dict):
+        raise ConfigError(f"dgp must be a JSON object, got {type(dgp).__name__}")
     kind = dgp.get("kind")
     if kind == "csv":
         check_keys(("kind", "paths"), dgp, "csv dgp")
@@ -445,25 +449,16 @@ def summarize(
     return SummaryTable(rows=tuple(rows))
 
 
-def _worker(config: ExperimentConfig, replication: int, rate, bounds_list):
-    return replication, run_replication(config, replication, rate, bounds_list)
-
-
 def _run_all_replications(
     config: ExperimentConfig, subsample_rate=None, bounds_list=None
 ) -> list[list[RunResult]]:
     reps = range(config.replications)
     if config.workers == 1:
         return [run_replication(config, r, subsample_rate, bounds_list) for r in reps]
-    results: dict[int, list[RunResult]] = {}
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        futures = [
-            pool.submit(_worker, config, r, subsample_rate, bounds_list) for r in reps
-        ]
-        for fut in futures:
-            rep, run_list = fut.result()
-            results[rep] = run_list
-    return [results[r] for r in reps]
+        futures = [pool.submit(run_replication, config, r, subsample_rate, bounds_list)
+                   for r in reps]
+        return [fut.result() for fut in futures]
 
 
 def run_experiment(
@@ -494,22 +489,6 @@ def compare_methods(method_errors, baseline_errors) -> ImprovementStats:
         down_avg=down,
         n_pairs=int(a.size),
     )
-
-
-def stratified_comparison(
-    method_errors, baseline_errors, threshold: float = 1.0
-) -> dict[str, "ImprovementStats | None"]:
-    """compare_methods split by baseline quality: pairs whose baseline error
-    is below `threshold` ("good") vs the rest ("bad")."""
-    a = np.asarray(method_errors, dtype=np.float64)
-    b = np.asarray(baseline_errors, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ConfigError("error lists must be aligned")
-    good = b < threshold
-    out: dict[str, "ImprovementStats | None"] = {}
-    for name, mask in (("good", good), ("bad", ~good)):
-        out[name] = compare_methods(a[mask], b[mask]) if mask.any() else None
-    return out
 
 
 def paired_headline_errors(
@@ -564,13 +543,10 @@ def subsample_sweep(config: ExperimentConfig, rates) -> dict[float, ExperimentRe
     Subset selection uses a dedicated per-replication stream: one
     permutation is drawn and rate r keeps its first round(r * n) entries
     (sorted), so smaller rates are subsets of larger ones and rate 1.0
-    reproduces run_experiment exactly.
+    reproduces run_experiment exactly.  `run_replication` rejects a rate
+    outside (0, 1].
     """
-    rates = [float(r) for r in rates]
-    for r in rates:
-        if not 0.0 < r <= 1.0:
-            raise ConfigError(f"subsample rates must be in (0, 1], got {r}")
-    return {r: run_experiment(config, subsample_rate=r) for r in rates}
+    return {float(r): run_experiment(config, subsample_rate=float(r)) for r in rates}
 
 
 def truncation_sweep(
@@ -580,17 +556,13 @@ def truncation_sweep(
 
     Each replication trains once; the trimming/estimation stage reruns per
     level.  A level that trims away every row is recorded per run in
-    `estimation_errors` rather than raising.
+    `estimation_errors` rather than raising.  Each level is checked, as a
+    config's `trim`, before any replication runs.
     """
-    levels = tuple((float(lo), float(hi)) for lo, hi in levels)
-    for lo, hi in levels:
-        if not 0.0 <= lo < hi <= 1.0:
-            raise ConfigError(f"invalid trim level ({lo}, {hi})")
-    per_rep = _run_all_replications(config, bounds_list=levels)
-    return {
-        level: ExperimentResult(replace(config, trim=level), tuple(lists[i] for lists in per_rep))
-        for i, level in enumerate(levels)
-    }
+    configs = [replace(config, trim=level) for level in levels]
+    per_rep = _run_all_replications(config, bounds_list=tuple(c.trim for c in configs))
+    return {c.trim: ExperimentResult(c, tuple(lists[i] for lists in per_rep))
+            for i, c in enumerate(configs)}
 
 
 # --- reporting ---------------------------------------------------------------
@@ -684,32 +656,17 @@ def format_summary(results: "ExperimentResult | GridResult") -> str:
 
 def format_truncation_table(sweep: dict) -> str:
     """Rows = method/estimator, columns = trim levels, cells = mean (se)."""
-    levels = list(sweep.keys())
-    keys = []
-    for res in sweep.values():
+    by_key: dict = {}  # (method, estimator) -> {level: row}, in first-seen order
+    for level, res in sweep.items():
         for row in res.summary.rows:
-            k = (row.method, row.estimator)
-            if k not in keys:
-                keys.append(k)
+            by_key.setdefault((row.method, row.estimator), {}).setdefault(level, row)
     header = f"{'method':<18} {'estimator':<10}" + "".join(
-        f" {f'[{lo},{hi}]':>18}" for lo, hi in levels
+        f" {f'[{lo},{hi}]':>18}" for lo, hi in sweep
     )
     lines = [header]
-    for method, tag in keys:
-        cells = []
-        for level in levels:
-            row = next(
-                (
-                    r
-                    for r in sweep[level].summary.rows
-                    if r.method == method and r.estimator == tag
-                ),
-                None,
-            )
-            cells.append(
-                f" {'-':>18}"
-                if row is None
-                else f" {f'{row.mean_abs_err:.4f} ({row.std_err:.4f})':>18}"
-            )
+    for (method, tag), rows in by_key.items():
+        cells = [f" {'-':>18}" if row is None
+                 else f" {f'{row.mean_abs_err:.4f} ({row.std_err:.4f})':>18}"
+                 for row in map(rows.get, sweep)]
         lines.append(f"{method:<18} {tag:<10}" + "".join(cells))
     return "\n".join(lines)

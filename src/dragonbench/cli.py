@@ -129,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
-    dgp = json.loads(args.dgp)
+    with config_values("--dgp"):
+        dgp = json.loads(args.dgp)
     dataset = make_dataset(dgp, np.random.default_rng(args.seed), 0)
     write_csv(dataset, args.out)
     print(f"wrote {dataset.n} rows x {dataset.p} covariates to {args.out}")

@@ -25,11 +25,15 @@ import numpy as np
 
 from .errors import EstimationError, NumericDomainError, ShapeError, UsageError
 from .objectives import (
+    _as_1d,
+    _check_binary,
+    _check_lengths,
+    _check_prob_open,
     h_values,
     select_observed,
     stationary_epsilon,
 )
-from .schema import check_keys, plain
+from .schema import check_keys, config_values, plain
 
 OVERLAP_ACCURACY_THRESHOLD = 0.90
 
@@ -38,14 +42,6 @@ TAG_AIPTW = "AIPTW"
 TAG_TMLE = "TMLE"
 TAG_TREG = "TREG"
 ESTIMATOR_TAGS = (TAG_Q, TAG_AIPTW, TAG_TMLE, TAG_TREG)
-
-
-@dataclass(frozen=True)
-class Estimate:
-    psi_hat: float
-    estimator_tag: str
-    n_used: int
-    trim_bounds: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -80,16 +76,10 @@ class EstimateReport:
         return plain(self)
 
     @classmethod
+    @config_values("estimate report")
     def from_dict(cls, d: dict) -> "EstimateReport":
         check_keys(cls, d, "estimate report")
         return cls(**{**d, "trim_bounds": tuple(d["trim_bounds"])})
-
-
-def _arr(name: str, x) -> np.ndarray:
-    out = np.asarray(x, dtype=np.float64)
-    if out.ndim != 1:
-        raise ShapeError(f"{name} must be 1-d, got shape {out.shape}")
-    return out
 
 
 def _check_rows(n: int, context: str):
@@ -97,29 +87,14 @@ def _check_rows(n: int, context: str):
         raise EstimationError(f"{context}: no rows to estimate from")
 
 
-def _check_g(g: np.ndarray):
-    if ((g <= 0.0) | (g >= 1.0)).any():
-        raise NumericDomainError("propensity values must lie strictly inside (0, 1)")
-
-
-def _check_t(t: np.ndarray):
-    if not np.isin(t, (0.0, 1.0)).all():
-        raise NumericDomainError("t must contain only 0 and 1")
-
-
-def _check_bounds(bounds) -> tuple[float, float]:
+def trim(g_values, bounds=(0.01, 0.99)) -> TrimResult:
+    """Indices of rows whose propensity lies inside [low, high], inclusive."""
+    g = _as_1d("g_values", g_values)
+    if ((g < 0.0) | (g > 1.0)).any():
+        raise NumericDomainError("g_values must lie in [0, 1]")
     lo, hi = float(bounds[0]), float(bounds[1])
     if not (0.0 <= lo < hi <= 1.0):
         raise NumericDomainError(f"trim bounds must satisfy 0 <= low < high <= 1, got {bounds}")
-    return lo, hi
-
-
-def trim(g_values, bounds=(0.01, 0.99)) -> TrimResult:
-    """Indices of rows whose propensity lies inside [low, high], inclusive."""
-    g = _arr("g_values", g_values)
-    if ((g < 0.0) | (g > 1.0)).any():
-        raise NumericDomainError("g_values must lie in [0, 1]")
-    lo, hi = _check_bounds(bounds)
     kept = np.flatnonzero((g >= lo) & (g <= hi))
     return TrimResult(
         kept=kept,
@@ -139,22 +114,19 @@ def overlap_flag(heldout_accuracy: float) -> bool:
 
 def propensity_accuracy(g_values, t) -> float:
     """Share of rows where thresholding g at 0.5 reproduces t."""
-    g = _arr("g_values", g_values)
-    t = _arr("t", t)
-    _check_t(t)
-    if g.shape != t.shape:
-        raise ShapeError(f"g {g.shape} and t {t.shape} must align")
-    _check_rows(g.size, "propensity_accuracy")
+    g = _as_1d("g_values", g_values)
+    t = _as_1d("t", t)
+    _check_binary(t)
+    _check_rows(_check_lengths(g=g, t=t), "propensity_accuracy")
     return float(np.mean((g > 0.5).astype(np.float64) == t))
 
 
 def diff_in_means(t, y) -> float:
     """Unadjusted mean(y | t=1) - mean(y | t=0); the no-covariate baseline."""
-    t = _arr("t", t)
-    y = _arr("y", y)
-    _check_t(t)
-    if t.shape != y.shape:
-        raise ShapeError("t and y must align")
+    t = _as_1d("t", t)
+    y = _as_1d("y", y)
+    _check_binary(t)
+    _check_lengths(t=t, y=y)
     treated = t == 1.0
     if not treated.any() or treated.all():
         raise EstimationError("diff_in_means needs both treated and control rows")
@@ -163,13 +135,11 @@ def diff_in_means(t, y) -> float:
 
 def _nuisances(q0, q1, g, t, y):
     """Validated float arrays of one row set: same length, g inside (0, 1), t binary."""
-    arrays = [_arr(k, v) for k, v in zip(("q0", "q1", "g", "t", "y"), (q0, q1, g, t, y))]
-    q0, q1, g, t, y = arrays
-    if len({a.size for a in arrays}) != 1:
-        raise ShapeError("q0, q1, g, t, y must all have the same length")
-    _check_rows(q0.size, "estimator input")
-    _check_g(g)
-    _check_t(t)
+    names = ("q0", "q1", "g", "t", "y")
+    q0, q1, g, t, y = arrays = [_as_1d(k, v) for k, v in zip(names, (q0, q1, g, t, y))]
+    _check_rows(_check_lengths(q0=q0, q1=q1, g=g, t=t, y=y), "estimator input")
+    _check_prob_open(g)
+    _check_binary(t)
     return arrays
 
 
@@ -180,18 +150,15 @@ def influence_curve(q0, q1, g, t, y, psi: float) -> InfluenceValues:
     return InfluenceValues(phi=phi, mean_phi=float(np.mean(phi)))
 
 
-def psi_q(q0, q1, trim_bounds=(0.0, 1.0)) -> Estimate:
+def psi_q(q0, q1) -> float:
     """Plug-in estimate: mean of q1(x) - q0(x) over the given rows."""
-    q0 = _arr("q0", q0)
-    q1 = _arr("q1", q1)
-    if q0.shape != q1.shape:
-        raise ShapeError(f"q0 {q0.shape} and q1 {q1.shape} must align")
-    _check_rows(q0.size, "estimator input")
-    psi = float(np.mean(q1 - q0))
-    return Estimate(psi, TAG_Q, q0.size, _check_bounds(trim_bounds))
+    q0 = _as_1d("q0", q0)
+    q1 = _as_1d("q1", q1)
+    _check_rows(_check_lengths(q0=q0, q1=q1), "estimator input")
+    return float(np.mean(q1 - q0))
 
 
-def psi_aiptw(q0, q1, g, t, y, trim_bounds=(0.0, 1.0)) -> tuple[Estimate, InfluenceValues]:
+def psi_aiptw(q0, q1, g, t, y) -> tuple[float, InfluenceValues]:
     """Augmented IPW: plug-in plus mean inverse-propensity residual.
 
     The estimate is the value that zeroes the empirical mean of the
@@ -199,8 +166,7 @@ def psi_aiptw(q0, q1, g, t, y, trim_bounds=(0.0, 1.0)) -> tuple[Estimate, Influe
     """
     q0, q1, g, t, y = _nuisances(q0, q1, g, t, y)
     psi = float(np.mean(q1 - q0 + h_values(t, g) * (y - select_observed(q0, q1, t))))
-    iv = influence_curve(q0, q1, g, t, y, psi)
-    return Estimate(psi, TAG_AIPTW, q0.size, _check_bounds(trim_bounds)), iv
+    return psi, influence_curve(q0, q1, g, t, y, psi)
 
 
 def _perturbed(q0, q1, g, t, y, eps: float) -> tuple[float, InfluenceValues]:
@@ -211,9 +177,7 @@ def _perturbed(q0, q1, g, t, y, eps: float) -> tuple[float, InfluenceValues]:
     return psi, influence_curve(q0_star, q1_star, g, t, y, psi)
 
 
-def psi_tmle(
-    q0, q1, g, t, y, trim_bounds=(0.0, 1.0)
-) -> tuple[Estimate, InfluenceValues, float]:
+def psi_tmle(q0, q1, g, t, y) -> tuple[float, InfluenceValues, float]:
     """One-step targeted update with the closed-form fluctuation.
 
     epsilon = sum(H (y - q)) / sum(H^2) minimizes the squared perturbed
@@ -224,13 +188,10 @@ def psi_tmle(
     """
     q0, q1, g, t, y = _nuisances(q0, q1, g, t, y)
     eps = stationary_epsilon(y, select_observed(q0, q1, t), t, g)
-    psi, iv = _perturbed(q0, q1, g, t, y, eps)
-    return Estimate(psi, TAG_TMLE, q0.size, _check_bounds(trim_bounds)), iv, float(eps)
+    return (*_perturbed(q0, q1, g, t, y, eps), float(eps))
 
 
-def psi_treg(
-    q0, q1, g, t, y, epsilon_hat: float, trim_bounds=(0.0, 1.0)
-) -> tuple[Estimate, InfluenceValues]:
+def psi_treg(q0, q1, g, t, y, epsilon_hat: float) -> tuple[float, InfluenceValues]:
     """Plug-in over the perturbed outcomes at the jointly trained epsilon.
 
     `epsilon_hat` is the fluctuation a model learned with the targeted-
@@ -239,8 +200,7 @@ def psi_treg(
     on the rows being estimated.
     """
     q0, q1, g, t, y = _nuisances(q0, q1, g, t, y)
-    psi, iv = _perturbed(q0, q1, g, t, y, float(epsilon_hat))
-    return Estimate(psi, TAG_TREG, q0.size, _check_bounds(trim_bounds)), iv
+    return _perturbed(q0, q1, g, t, y, float(epsilon_hat))
 
 
 def apply_estimators(
@@ -259,8 +219,8 @@ def apply_estimators(
     they use, bit for bit.
     """
     X = np.asarray(X, dtype=np.float64)
-    t = _arr("t", t)
-    y = _arr("y", y)
+    t = _as_1d("t", t)
+    y = _as_1d("y", y)
     if estimators is None:
         estimators = (TAG_Q, TAG_AIPTW, TAG_TMLE) + ((TAG_TREG,) if model.treg else ())
     unknown = set(estimators) - set(ESTIMATOR_TAGS)
@@ -284,17 +244,17 @@ def apply_estimators(
     reports: dict[str, EstimateReport] = {}
     for tag in estimators:
         if tag == TAG_Q:
-            est = psi_q(q0, q1, tr.bounds)
-            iv = influence_curve(q0, q1, g, tk, yk, est.psi_hat)
+            psi = psi_q(q0, q1)
+            iv = influence_curve(q0, q1, g, tk, yk, psi)
         elif tag == TAG_AIPTW:
-            est, iv = psi_aiptw(q0, q1, g, tk, yk, tr.bounds)
+            psi, iv = psi_aiptw(q0, q1, g, tk, yk)
         elif tag == TAG_TMLE:
-            est, iv, _ = psi_tmle(q0, q1, g, tk, yk, tr.bounds)
+            psi, iv, _ = psi_tmle(q0, q1, g, tk, yk)
         else:
-            est, iv = psi_treg(q0, q1, g, tk, yk, model.epsilon_hat, tr.bounds)
+            psi, iv = psi_treg(q0, q1, g, tk, yk, model.epsilon_hat)
         reports[tag] = EstimateReport(
             estimator_tag=tag,
-            psi_hat=est.psi_hat,
+            psi_hat=psi,
             n_used=int(tr.kept.size),
             trim_bounds=tr.bounds,
             mean_phi=iv.mean_phi,

@@ -31,7 +31,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, NumericError, ShapeError, UsageError
-from .nn import DenseLayer, apply_stack, init_params
+from .nn import DenseLayer, apply_stack, float_array, init_params
+from .schema import config_values
 
 ARCH_DRAGONNET = "dragonnet"
 ARCH_TARNET = "tarnet"
@@ -113,24 +114,6 @@ def init_network(
     head1 = init_params(rng, head_sizes, head_acts)
     propensity = init_params(rng, [n_covariates if g_reads_x else rep, 1], "sigmoid")
     return ThreeHeadNet(shared, head0, head1, propensity, g_reads_x)
-
-
-def _check_input(x, width: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"x must be 2-d, got shape {x.shape}")
-    if x.shape[1] != width:
-        raise ShapeError(f"x has {x.shape[1]} features, model expects {width}")
-    return x
-
-
-def network_forward(net: ThreeHeadNet, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Plain-array forward pass; returns (q0, q1, g), each (n,)."""
-    q0, q1, g, _ = net.apply(_check_input(x, net.shared[0].in_dim))
-    for name, arr in (("q0", q0), ("q1", q1), ("g", g)):
-        if not np.isfinite(arr).all():
-            raise NumericError(f"{name} contains non-finite values")
-    return q0, q1, g
 
 
 @dataclass(frozen=True)
@@ -243,15 +226,25 @@ class FittedModel:
 
 
 def build_predictors(net: ThreeHeadNet, scaler: Scaler):
-    """Wrap one network forward with the scaler; returns predict(X) -> (q0, q1, g).
+    """Wrap one network forward with the scaler; returns predict(X) -> (q0, q1, g),
+    each (n,).
 
-    X must have the scaler's width: ShapeError otherwise, before numpy can
-    broadcast a one-column X across it.
+    X must be 2-d with the scaler's width: ShapeError otherwise, before numpy
+    can broadcast a one-column X across it.  A non-finite prediction raises
+    NumericError.
     """
+    width = scaler.x_mean.shape[0]
 
     def predict(X):
-        X = _check_input(X, scaler.x_mean.shape[0])
-        q0, q1, g = network_forward(net, scaler.transform_x(X))
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2:
+            raise ShapeError(f"x must be 2-d, got shape {X.shape}")
+        if X.shape[1] != width:
+            raise ShapeError(f"x has {X.shape[1]} features, model expects {width}")
+        q0, q1, g, _ = net.apply(scaler.transform_x(X))
+        for name, arr in (("q0", q0), ("q1", q1), ("g", g)):
+            if not np.isfinite(arr).all():
+                raise NumericError(f"{name} contains non-finite values")
         return scaler.restore_y(q0), scaler.restore_y(q1), g
 
     return predict
@@ -272,17 +265,6 @@ def _layer_to_json(layer: DenseLayer) -> dict:
     }
 
 
-def _array(value, where: str) -> np.ndarray:
-    """`value` as float64; ShapeError when its lists are ragged, ConfigError
-    when an entry is not a number."""
-    try:
-        return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as err:
-        if "inhomogeneous" in str(err):
-            raise ShapeError(f"checkpoint {where} is ragged") from err
-        raise ConfigError(f"checkpoint {where} is not numeric: {err}") from err
-
-
 def _number(value, where: str) -> float:
     try:
         return float(value)
@@ -290,13 +272,12 @@ def _number(value, where: str) -> float:
         raise ConfigError(f"checkpoint {where} is not a number: {value!r}") from err
 
 
-def _layer_from_json(obj: dict, where: str) -> DenseLayer:
-    _require(obj, ("weights", "bias", "activation"), where)
-    return DenseLayer(
-        _array(obj["weights"], f"{where} weights"),
-        _array(obj["bias"], f"{where} bias"),
-        obj["activation"],
-    )
+def _layers_from_json(section: str, objs: list) -> list[DenseLayer]:
+    """The layers of one checkpoint section; a typed error names the section."""
+    try:
+        return [DenseLayer(o["weights"], o["bias"], o["activation"]) for o in objs]
+    except (ConfigError, ShapeError) as err:
+        raise type(err)(f"checkpoint {section} layer {err}") from err
 
 
 def make_payload(arch: str, net: ThreeHeadNet, scaler: Scaler, epsilon_hat: float, treg: bool,
@@ -334,14 +315,6 @@ def save_checkpoint(model: FittedModel, path) -> None:
     path.write_text(json.dumps(model.payload))
 
 
-def _require(obj, keys, where: str) -> dict:
-    """`obj`, once it is a dict holding every key; ConfigError otherwise."""
-    missing = [k for k in keys if not isinstance(obj, dict) or k not in obj]
-    if missing:
-        raise ConfigError(f"checkpoint {where} is missing {', '.join(missing)}")
-    return obj
-
-
 def _chain(name: str, layers: list[DenseLayer], width: int, out: int | None = None) -> int:
     """Output width of stack `name` fed `width` columns; ShapeError when it is
     empty, its layer widths do not chain, or it does not end at `out`."""
@@ -356,6 +329,7 @@ def _chain(name: str, layers: list[DenseLayer], width: int, out: int | None = No
     return width
 
 
+@config_values("checkpoint")
 def load_checkpoint(path) -> FittedModel:
     """Rebuild a model from `save_checkpoint` output.
 
@@ -371,27 +345,23 @@ def load_checkpoint(path) -> FittedModel:
         raise ConfigError(f"not a {CHECKPOINT_FORMAT} file: {path}")
     if obj.get("version") != CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {obj.get('version')!r}")
-    _require(obj, ("architecture", "treg", "epsilon_hat", "config_digest", "scaler", "stacks"),
-             "file")
     arch = obj["architecture"]
     if arch not in ARCHITECTURES:
         raise ConfigError(f"unknown architecture {arch!r}")
     sections = _sections(arch)
-    stacks = _require(obj["stacks"], tuple(sections.values()), "stacks")
+    stacks = obj["stacks"]
     if not all(isinstance(stacks[s], list) for s in sections.values()):
         raise ConfigError("checkpoint stacks must be lists of layers")
-    layers = {
-        name: [_layer_from_json(l, f"{section} layer") for l in stacks[section]]
-        for name, section in sections.items()
-    }
+    layers = {name: _layers_from_json(section, stacks[section])
+              for name, section in sections.items()}
     net = ThreeHeadNet(**layers, g_reads_x=arch == ARCH_TARNET)
     p = net.shared[0].in_dim if net.shared else 0
     rep = _chain("shared", net.shared, p)
     _chain("head0", net.head0, rep, 1)
     _chain("head1", net.head1, rep, 1)
     _chain(sections["propensity"], net.propensity, p if net.g_reads_x else rep, 1)
-    sc = _require(obj["scaler"], ("x_mean", "x_std", "y_mean", "y_std"), "scaler")
-    x_mean, x_std = (_array(sc[k], f"scaler {k}") for k in ("x_mean", "x_std"))
+    sc = obj["scaler"]
+    x_mean, x_std = (float_array(sc[k], f"checkpoint scaler {k}") for k in ("x_mean", "x_std"))
     scaler = Scaler(x_mean, x_std, _number(sc["y_mean"], "scaler y_mean"),
                     _number(sc["y_std"], "scaler y_std"))
     if x_mean.shape != (p,) or x_std.shape != (p,):
@@ -415,7 +385,6 @@ __all__ = [
     "Scaler",
     "ThreeHeadNet",
     "init_network",
-    "network_forward",
     "build_predictors",
     "make_payload",
     "save_checkpoint",

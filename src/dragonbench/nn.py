@@ -25,9 +25,15 @@ _ACT_FNS = {
 }
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Deterministic generator for a 64-bit seed."""
-    return np.random.default_rng(seed)
+def float_array(value, name: str) -> np.ndarray:
+    """`value` as float64; ShapeError when its lists are ragged, ConfigError
+    when an entry is not a number."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as err:
+        if "inhomogeneous" in str(err):
+            raise ShapeError(f"{name} is ragged") from err
+        raise ConfigError(f"{name} is not numeric: {err}") from err
 
 
 @dataclass
@@ -36,6 +42,9 @@ class DenseLayer:
 
     weights : (out, in) float64
     bias    : (out,) float64
+
+    Both are converted to float64 on construction, so nested lists (as read
+    from a checkpoint) are accepted; ragged or non-numeric ones are not.
     """
 
     weights: np.ndarray
@@ -43,8 +52,8 @@ class DenseLayer:
     activation: str = "identity"
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
+        self.weights = float_array(self.weights, "weights")
+        self.bias = float_array(self.bias, "bias")
         if self.weights.ndim != 2:
             raise ShapeError(f"weights must be 2-d, got shape {self.weights.shape}")
         if self.bias.shape != (self.weights.shape[0],):

@@ -60,12 +60,8 @@ class LossBreakdown:
 
 def _as_1d(name: str, x) -> np.ndarray:
     out = np.asarray(x, dtype=np.float64)
-    if out.ndim == 0:
-        out = out.reshape(1)
     if out.ndim != 1:
         raise ShapeError(f"{name} must be 1-d, got shape {out.shape}")
-    if out.size == 0:
-        raise ShapeError(f"{name} is empty")
     return out
 
 

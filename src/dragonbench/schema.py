@@ -11,7 +11,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 
 
 def plain(obj):
@@ -28,10 +28,11 @@ def plain(obj):
 
 @contextmanager
 def config_values(where: str):
-    """Re-raise the error a malformed `where` raises as ConfigError."""
+    """Re-raise the error a malformed `where` raises as ConfigError; the
+    package's ConfigError and ShapeError pass through unchanged."""
     try:
         yield
-    except ConfigError:
+    except (ConfigError, ShapeError):
         raise
     except (AttributeError, LookupError, TypeError, ValueError) as err:
         detail = f"missing {err}" if isinstance(err, KeyError) else err

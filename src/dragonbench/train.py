@@ -33,7 +33,7 @@ from .errors import ConfigError, NumericError, TrainingDivergedError
 from .models import (
     ARCH_DRAGONNET,
     ARCH_NEDNET,
-    ARCH_TARNET,
+    ARCHITECTURES,
     STACKS,
     FittedModel,
     Scaler,
@@ -42,7 +42,7 @@ from .models import (
     init_network,
     make_payload,
 )
-from .nn import SgdMomentum, apply_stack, make_rng, sgd_momentum_step
+from .nn import SgdMomentum, apply_stack, sgd_momentum_step
 from .objectives import (
     LossBreakdown,
     cross_entropy_term,
@@ -127,12 +127,6 @@ class TrainConfig:
 def config_digest(cfg: TrainConfig) -> str:
     payload = json.dumps(cfg.to_dict(), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def _resolve_rng(cfg: TrainConfig, rng) -> np.random.Generator:
-    if rng is not None:
-        return rng
-    return make_rng(cfg.seed if cfg.seed is not None else 0)
 
 
 def _child_rngs(rng: np.random.Generator, k: int) -> list[np.random.Generator]:
@@ -244,12 +238,9 @@ def _sgd_loop(
     }
 
 
-def _standardized(data: Dataset, cfg: TrainConfig):
-    scaler = Scaler.fit(data.X, data.y) if cfg.standardize else Scaler.identity(data.p)
-    Xs = scaler.transform_x(data.X)
-    ys = scaler.transform_y(data.y)
-    ts = data.t.astype(np.float64)
-    return scaler, Xs, ys, ts
+def _scaled(data: Dataset, scaler: Scaler) -> tuple:
+    """(X, y, t) of `data` in the scaler's units, with t as float."""
+    return scaler.transform_x(data.X), scaler.transform_y(data.y), data.t.astype(np.float64)
 
 
 def _carve_validation(
@@ -291,23 +282,15 @@ def _traces_to_meta(loop: dict) -> dict:
     }
 
 
-def _val_arrays(val_data: "Dataset | None", scaler: Scaler):
-    if val_data is None:
-        return None
-    return (
-        scaler.transform_x(val_data.X),
-        scaler.transform_y(val_data.y),
-        val_data.t.astype(np.float64),
-    )
-
-
 def _train(arch: str, data: Dataset, cfg: TrainConfig, rng, val_data) -> FittedModel:
     """Shared trainer: one joint objective, or nednet's two phases."""
-    rng = _resolve_rng(cfg, rng)
+    if rng is None:
+        rng = np.random.default_rng(cfg.seed if cfg.seed is not None else 0)
     init_rng, order_rng = _child_rngs(rng, 2)
-    scaler, Xs, ys, ts = _standardized(data, cfg)
+    scaler = Scaler.fit(data.X, data.y) if cfg.standardize else Scaler.identity(data.p)
+    Xs, ys, ts = _scaled(data, scaler)
     net = init_network(init_rng, data.p, cfg.shared_widths, cfg.outcome_widths, arch)
-    ext_val = _val_arrays(val_data, scaler)
+    ext_val = None if val_data is None else _scaled(val_data, scaler)
     batch_rows, carved = _carve_validation(data.n, cfg, order_rng, ext_val is not None)
 
     def fit(stacks, terms, weights, train, val):
@@ -369,44 +352,21 @@ def train_dragonnet(
     return _train(ARCH_DRAGONNET, data, cfg, rng, val_data)
 
 
-def train_tarnet(
-    data: Dataset, cfg: TrainConfig = TrainConfig(), rng=None, val_data: "Dataset | None" = None
-) -> FittedModel:
-    """TARNET: the propensity reads the raw covariates, never the representation.
-
-    This logistic regression is trained alongside from the same
-    cross-entropy term; with beta > 0 the fluctuation penalty couples it to
-    the outcome heads, otherwise the two evolve independently.
-    """
-    return _train(ARCH_TARNET, data, cfg, rng, val_data)
-
-
-def train_nednet(
-    data: Dataset, cfg: TrainConfig = TrainConfig(), rng=None, val_data: "Dataset | None" = None
-) -> FittedModel:
-    """Two-phase training: propensity first, outcomes on the frozen trunk.
-
-    Phase 1 fits the shared stack plus the propensity on pure
-    cross-entropy.  Phase 2 freezes the representation and fits the
-    outcome heads, still at their initial draw, on squared error with a
-    fresh optimizer.  Targeted regularization does not apply; epsilon
-    stays 0.
-    """
-    if cfg.beta > 0:
-        raise ConfigError("nednet has no fluctuation parameter; use beta = 0")
-    return _train(ARCH_NEDNET, data, cfg, rng, val_data)
-
-
-TRAINERS = {
-    ARCH_DRAGONNET: train_dragonnet,
-    ARCH_TARNET: train_tarnet,
-    ARCH_NEDNET: train_nednet,
-}
-
-
 def train_architecture(
     arch: str, data: Dataset, cfg: TrainConfig, rng=None, val_data: "Dataset | None" = None
 ) -> FittedModel:
-    if arch not in TRAINERS:
-        raise ConfigError(f"unknown architecture {arch!r}; expected one of {sorted(TRAINERS)}")
-    return TRAINERS[arch](data, cfg, rng=rng, val_data=val_data)
+    """Train one of ARCHITECTURES on `data`.
+
+    dragonnet and tarnet fit one joint objective; tarnet's propensity is a
+    logistic regression on the raw covariates, coupled to the outcome heads
+    only through the fluctuation penalty when beta > 0.  nednet trains in
+    two phases: the shared stack plus the propensity on pure cross-entropy,
+    then the outcome heads, still at their initial draw, on squared error
+    over the frozen representation with a fresh optimizer.  nednet has no
+    fluctuation term, so it needs beta = 0 and its epsilon stays 0.
+    """
+    if arch not in ARCHITECTURES:
+        raise ConfigError(f"unknown architecture {arch!r}; expected one of {sorted(ARCHITECTURES)}")
+    if arch == ARCH_NEDNET and cfg.beta > 0:
+        raise ConfigError("nednet has no fluctuation parameter; use beta = 0")
+    return _train(arch, data, cfg, rng, val_data)

@@ -202,21 +202,21 @@ def test_criterion_4_double_robustness():
     tau = data.true_ate
 
     q0, q1, g = model.predict(data.X)
-    est_q = psi_q(q0, q1)
-    est_a, iv_a = psi_aiptw(q0, q1, g, data.t, data.y)
-    est_t, iv_t, _ = psi_tmle(q0, q1, g, data.t, data.y)
+    psi_plug = psi_q(q0, q1)
+    psi_a, iv_a = psi_aiptw(q0, q1, g, data.t, data.y)
+    psi_t, iv_t, _ = psi_tmle(q0, q1, g, data.t, data.y)
     se_a = float(iv_a.phi.std(ddof=1) / np.sqrt(data.n))
     se_t = float(iv_t.phi.std(ddof=1) / np.sqrt(data.n))
 
-    plug_exact = est_q.psi_hat == 0.0 and abs(est_q.psi_hat - tau) == tau
+    plug_exact = psi_plug == 0.0 and abs(psi_plug - tau) == tau
     ok = (
         plug_exact
-        and abs(est_a.psi_hat - tau) < 5.0 * se_a
-        and abs(est_t.psi_hat - tau) < 5.0 * se_t
+        and abs(psi_a - tau) < 5.0 * se_a
+        and abs(psi_t - tau) < 5.0 * se_t
     )
     report(4, ok, f"plug-in error exactly tau={tau}; "
-                  f"aiptw off by {abs(est_a.psi_hat - tau):.4f} (5se {5 * se_a:.4f}), "
-                  f"tmle off by {abs(est_t.psi_hat - tau):.4f} (5se {5 * se_t:.4f})")
+                  f"aiptw off by {abs(psi_a - tau):.4f} (5se {5 * se_a:.4f}), "
+                  f"tmle off by {abs(psi_t - tau):.4f} (5se {5 * se_t:.4f})")
     assert ok
 
 

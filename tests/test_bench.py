@@ -25,7 +25,6 @@ from dragonbench.bench import (
     run_experiment,
     run_grid,
     run_replication,
-    stratified_comparison,
     subsample_sweep,
     summarize,
     truncation_sweep,
@@ -299,14 +298,6 @@ def test_compare_methods_rejects_misaligned_lists():
         compare_methods([], [])
 
 
-def test_stratified_comparison_splits_on_baseline_quality():
-    strata = stratified_comparison([0.5, 0.5, 3.0], [1.0, 2.0, 2.5], threshold=1.5)
-    assert strata["good"].n_pairs == 1
-    assert strata["bad"].n_pairs == 2
-    empty = stratified_comparison([0.5], [2.0], threshold=1.0)
-    assert empty["good"] is None
-
-
 def test_grid_pairs_runs_by_replication():
     cfg = tiny_config(replications=2)
     methods = (("tarnet", "tarnet", False), ("dragonnet", "dragonnet", False))
@@ -439,16 +430,16 @@ def test_truncation_sweep_reports_equal_estimators_on_a_fresh_prediction(monkeyp
             dropped += tr.dropped_low + tr.dropped_high
             q0, q1, g = model.predict(X[tr.kept])
             tk, yk = t[tr.kept], y[tr.kept]
-            est_q = psi_q(q0, q1, tr.bounds)
-            results = [
-                (est_q, influence_curve(q0, q1, g, tk, yk, est_q.psi_hat)),
-                psi_aiptw(q0, q1, g, tk, yk, tr.bounds),
-                psi_tmle(q0, q1, g, tk, yk, tr.bounds)[:2],
-                psi_treg(q0, q1, g, tk, yk, model.epsilon_hat, tr.bounds),
-            ]
-            for est, iv in results:
-                assert run.reports[scope][est.estimator_tag] == EstimateReport(
-                    estimator_tag=est.estimator_tag, psi_hat=est.psi_hat,
+            psi_plug_in = psi_q(q0, q1)
+            results = {
+                "Q": (psi_plug_in, influence_curve(q0, q1, g, tk, yk, psi_plug_in)),
+                "AIPTW": psi_aiptw(q0, q1, g, tk, yk),
+                "TMLE": psi_tmle(q0, q1, g, tk, yk)[:2],
+                "TREG": psi_treg(q0, q1, g, tk, yk, model.epsilon_hat),
+            }
+            for tag, (psi, iv) in results.items():
+                assert run.reports[scope][tag] == EstimateReport(
+                    estimator_tag=tag, psi_hat=psi,
                     n_used=int(tr.kept.size), trim_bounds=tr.bounds, mean_phi=iv.mean_phi,
                     dropped_low=tr.dropped_low, dropped_high=tr.dropped_high,
                 )
@@ -527,6 +518,13 @@ def test_load_report_of_a_malformed_file_raises_config_error(tmp_path, case):
     path.write_text(MALFORMED_REPORTS[case](path.read_text()))
     with pytest.raises(ConfigError):
         load_report(path)
+
+
+def test_run_from_dict_names_a_missing_field():
+    d = run_replication(tiny_config(architecture="oracle", replications=1), 0)[0].to_dict()
+    del d["reports"]
+    with pytest.raises(ConfigError, match="reports"):
+        RunResult.from_dict(d)
 
 
 def test_emit_report_grid_bundle(tmp_path):

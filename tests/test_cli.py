@@ -175,6 +175,13 @@ def test_generate_with_a_missing_dgp_key_exits_with_code_two(tmp_path, capsys):
     assert "needs the key 'n'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dgp", ['{"kind": "lin"', "[1]"], ids=["not-json", "not-an-object"])
+def test_generate_with_a_malformed_dgp_exits_with_code_two(tmp_path, capsys, dgp):
+    rc = main(["generate", "--dgp", dgp, "--out", str(tmp_path / "d.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("width", [1, 5])
 def test_estimate_on_a_csv_of_the_wrong_width_exits_with_code_two(tmp_path, capsys, width):
     ckpt, train_csv, other_csv = tmp_path / "m.json", tmp_path / "d.csv", tmp_path / "o.csv"

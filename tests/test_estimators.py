@@ -7,7 +7,7 @@ those assertions use machine-precision tolerances, not statistical ones.
 import numpy as np
 import pytest
 
-from dragonbench.errors import EstimationError, NumericDomainError, UsageError
+from dragonbench.errors import ConfigError, EstimationError, NumericDomainError, UsageError
 from dragonbench.datagen import gen_dgp_lin, lin_true_propensity
 from dragonbench.estimators import (
     TAG_AIPTW,
@@ -37,17 +37,18 @@ def table_model(X, q0, q1, g, epsilon_hat=0.0):
 def test_psi_q_is_the_mean_contrast():
     X = np.array([[0.0], [1.0]])
     model = table_model(X, q0=[0.0, 0.0], q1=[1.0, 3.0], g=[0.5, 0.5])
-    est = psi_q(*model.predict(X)[:2])
-    assert est.psi_hat == pytest.approx(2.0)
-    assert est.n_used == 2
+    assert psi_q(*model.predict(X)[:2]) == pytest.approx(2.0)
+    report = apply_estimators(model, X, [1.0, 0.0], [1.0, 0.0], (0.0, 1.0), (TAG_Q,))[TAG_Q]
+    assert report.psi_hat == pytest.approx(2.0)
+    assert report.n_used == 2
 
 
 def test_psi_aiptw_single_row_hand_value():
     # q1 - q0 + H (y - q1) = (2 - 1) + 2 * (3 - 2) = 3
     X = np.array([[0.0]])
     model = table_model(X, q0=[1.0], q1=[2.0], g=[0.5])
-    est, iv = psi_aiptw(*model.predict(X), np.array([1.0]), np.array([3.0]))
-    assert est.psi_hat == pytest.approx(3.0)
+    psi, iv = psi_aiptw(*model.predict(X), np.array([1.0]), np.array([3.0]))
+    assert psi == pytest.approx(3.0)
     assert abs(iv.mean_phi) <= 1e-12
 
 
@@ -71,9 +72,9 @@ def test_psi_tmle_two_point_closed_form():
     model = table_model(X, q0=[0.0, 0.0], q1=[0.0, 0.0], g=[0.5, 0.5])
     t = np.array([1.0, 0.0])
     y = np.array([1.0, -1.0])
-    est, iv, eps = psi_tmle(*model.predict(X), t, y)
+    psi, iv, eps = psi_tmle(*model.predict(X), t, y)
     assert eps == pytest.approx(0.5)
-    assert est.psi_hat == pytest.approx(2.0)
+    assert psi == pytest.approx(2.0)
     assert abs(iv.mean_phi) <= 1e-8
 
 
@@ -97,9 +98,9 @@ def test_psi_treg_shifts_plug_in_by_trained_epsilon():
                         epsilon_hat=0.1)
     t = np.array([1.0, 0.0, 1.0])
     y = np.array([1.0, 1.0, 0.0])
-    base = psi_q(*model.predict(X)[:2]).psi_hat
-    est, _ = psi_treg(*model.predict(X), t, y, model.epsilon_hat)
-    assert est.psi_hat == pytest.approx(base + 0.4)
+    base = psi_q(*model.predict(X)[:2])
+    psi, _ = psi_treg(*model.predict(X), t, y, model.epsilon_hat)
+    assert psi == pytest.approx(base + 0.4)
 
 
 def test_psi_treg_requires_treg_training():
@@ -179,7 +180,7 @@ def test_estimates_are_permutation_invariant():
     perm = rng.permutation(n)
     a, _ = psi_aiptw(*model.predict(X), t, y)
     b, _ = psi_aiptw(*model.predict(X[perm]), t[perm], y[perm])
-    assert a.psi_hat == pytest.approx(b.psi_hat, rel=1e-12)
+    assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_duplicating_every_row_preserves_estimates():
@@ -194,7 +195,7 @@ def test_duplicating_every_row_preserves_estimates():
     dup = np.concatenate([np.arange(n), np.arange(n)])
     one, _, _ = psi_tmle(*model.predict(X), t, y)
     two, _, _ = psi_tmle(*model.predict(X[dup]), t[dup], y[dup])
-    assert one.psi_hat == pytest.approx(two.psi_hat, rel=1e-12)
+    assert one == pytest.approx(two, rel=1e-12)
 
 
 def test_double_robustness_with_true_propensity_and_zero_outcome_model():
@@ -211,13 +212,13 @@ def test_double_robustness_with_true_propensity_and_zero_outcome_model():
     )
     t = data.t.astype(np.float64)
     q0, q1, g = model.predict(data.X)
-    est, iv = psi_aiptw(q0, q1, g, t, data.y)
+    psi, iv = psi_aiptw(q0, q1, g, t, data.y)
     se = iv.phi.std(ddof=1) / np.sqrt(data.n)
-    assert abs(est.psi_hat - tau) < 5.0 * se
-    assert abs(psi_q(q0, q1).psi_hat - tau) == pytest.approx(tau)
+    assert abs(psi - tau) < 5.0 * se
+    assert abs(psi_q(q0, q1) - tau) == pytest.approx(tau)
     tm, tm_iv, _ = psi_tmle(q0, q1, g, t, data.y)
     tm_se = tm_iv.phi.std(ddof=1) / np.sqrt(data.n)
-    assert abs(tm.psi_hat - tau) < 5.0 * tm_se
+    assert abs(tm - tau) < 5.0 * tm_se
 
 
 def test_apply_estimators_shares_one_trimmed_set():
@@ -293,3 +294,32 @@ def test_report_roundtrips_through_dict():
     )
     again = EstimateReport.from_dict(report.to_dict())
     assert again == report
+
+
+def test_report_from_dict_names_a_missing_field():
+    d = EstimateReport(
+        estimator_tag=TAG_Q, psi_hat=1.0, n_used=10, trim_bounds=(0.01, 0.99),
+        mean_phi=0.5, dropped_low=0, dropped_high=0,
+    ).to_dict()
+    del d["trim_bounds"]
+    with pytest.raises(ConfigError, match="trim_bounds"):
+        EstimateReport.from_dict(d)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_estimates_follow_a_shift_and_a_scale_of_the_outcomes(seed):
+    # Adding c to y, q0 and q1 leaves every residual and contrast as it was;
+    # multiplying all three by s > 0 multiplies each estimate by s.
+    rng = np.random.default_rng(seed)
+    n = 60
+    q0, q1, y = rng.normal(size=(3, n))
+    g = rng.uniform(0.1, 0.9, size=n)
+    t = (rng.uniform(size=n) < g).astype(np.float64)
+    c, s = rng.normal(scale=5.0), rng.uniform(0.1, 10.0)
+
+    def estimates(q0, q1, y):
+        return [psi_q(q0, q1), psi_aiptw(q0, q1, g, t, y)[0], psi_tmle(q0, q1, g, t, y)[0]]
+
+    base = np.array(estimates(q0, q1, y))
+    np.testing.assert_allclose(estimates(q0 + c, q1 + c, y + c), base, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(estimates(s * q0, s * q1, s * y), s * base, rtol=1e-12, atol=1e-12)

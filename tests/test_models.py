@@ -20,16 +20,19 @@ from dragonbench.models import (
     init_network,
     load_checkpoint,
     make_payload,
-    network_forward,
     save_checkpoint,
 )
-from dragonbench.nn import make_rng
 
 DATA = Path(__file__).parent / "data"
 
 
 def small_dragonnet(seed=0, p=4):
-    return init_network(make_rng(seed), p, shared_widths=(8, 8), outcome_widths=(6,))
+    return init_network(np.random.default_rng(seed), p, shared_widths=(8, 8), outcome_widths=(6,))
+
+
+def predict_unscaled(net, x):
+    """(q0, q1, g) of `net` on x through an identity scaler, which changes no value."""
+    return build_predictors(net, Scaler.identity(net.shared[0].in_dim))(x)
 
 
 def test_dragonnet_param_shapes():
@@ -43,7 +46,7 @@ def test_dragonnet_param_shapes():
 
 
 def test_default_widths_match_reference_architecture():
-    params = init_network(make_rng(0), 25)
+    params = init_network(np.random.default_rng(0), 25)
     assert [l.weights.shape[0] for l in params.shared] == [200, 200, 200]
     assert [l.weights.shape[0] for l in params.head0] == [100, 100, 1]
     assert params.head0[-1].activation == "identity"
@@ -56,7 +59,7 @@ def test_zeroed_network_predicts_zero_and_half():
         layer.weights[...] = 0.0
         layer.bias[...] = 0.0
     x = np.random.default_rng(0).normal(size=(7, 4))
-    q0, q1, g = network_forward(params, x)
+    q0, q1, g = predict_unscaled(params, x)
     np.testing.assert_array_equal(q0, np.zeros(7))
     np.testing.assert_array_equal(q1, np.zeros(7))
     np.testing.assert_array_equal(g, np.full(7, 0.5))
@@ -65,39 +68,39 @@ def test_zeroed_network_predicts_zero_and_half():
 def test_shared_and_head_inits_agree_across_architectures():
     # Both architectures must consume the init stream in the same order for
     # everything they have in common.
-    d = init_network(make_rng(3), 4, (8, 8), (6,), ARCH_DRAGONNET)
-    t = init_network(make_rng(3), 4, (8, 8), (6,), ARCH_TARNET)
+    d = init_network(np.random.default_rng(3), 4, (8, 8), (6,), ARCH_DRAGONNET)
+    t = init_network(np.random.default_rng(3), 4, (8, 8), (6,), ARCH_TARNET)
     for a, b in zip((*d.shared, *d.head0, *d.head1), (*t.shared, *t.head0, *t.head1)):
         np.testing.assert_array_equal(a.weights, b.weights)
         np.testing.assert_array_equal(a.bias, b.bias)
 
 
 def test_tarnet_auxiliary_head_reads_raw_covariates():
-    params = init_network(make_rng(1), 9, (8,), (6,), ARCH_TARNET)
+    params = init_network(np.random.default_rng(1), 9, (8,), (6,), ARCH_TARNET)
     assert params.g_reads_x
     assert [l.weights.shape for l in params.propensity] == [(1, 9)]
     # g must follow x alone: a change to the representation leaves it as is
     x = np.random.default_rng(1).normal(size=(5, 9))
-    g = network_forward(params, x)[2]
+    g = predict_unscaled(params, x)[2]
     params.shared[0].weights[...] += 1.0
-    np.testing.assert_array_equal(network_forward(params, x)[2], g)
+    np.testing.assert_array_equal(predict_unscaled(params, x)[2], g)
 
 
 def test_forward_outputs_are_flat_and_finite():
     params = small_dragonnet()
     x = np.random.default_rng(2).normal(size=(11, 4))
-    for out in network_forward(params, x):
+    for out in predict_unscaled(params, x):
         assert out.shape == (11,)
         assert np.all(np.isfinite(out))
-    tp = init_network(make_rng(2), 4, (8, 8), (6,), ARCH_TARNET)
-    q0, q1, g = network_forward(tp, x)
+    tp = init_network(np.random.default_rng(2), 4, (8, 8), (6,), ARCH_TARNET)
+    q0, q1, g = predict_unscaled(tp, x)
     assert np.all((g > 0) & (g < 1))
 
 
 def test_forward_rejects_wrong_column_count():
     params = small_dragonnet(p=4)
     with pytest.raises(ShapeError):
-        network_forward(params, np.ones((3, 5)))
+        predict_unscaled(params, np.ones((3, 5)))
 
 
 def test_apply_with_explicit_leaves_matches_direct_apply():
@@ -154,7 +157,7 @@ def test_build_predictors_restores_original_units():
     sc = Scaler.fit(X, y)
     params = small_dragonnet(seed=9)
     q0, q1, g_pred = build_predictors(params, sc)(X)
-    q0s, q1s, g = network_forward(params, sc.transform_x(X))
+    q0s, q1s, g, _ = params.apply(sc.transform_x(X))
     np.testing.assert_allclose(q0, sc.restore_y(q0s), rtol=1e-12)
     np.testing.assert_allclose(q1, sc.restore_y(q1s), rtol=1e-12)
     np.testing.assert_allclose(g_pred, g, rtol=0, atol=0)
@@ -210,7 +213,7 @@ def test_checkpoint_tarnet_roundtrip(tmp_path):
     X = rng.normal(size=(20, 3))
     y = rng.normal(size=20)
     sc = Scaler.fit(X, y)
-    params = init_network(make_rng(17), 3, (8,), (6,), ARCH_TARNET)
+    params = init_network(np.random.default_rng(17), 3, (8,), (6,), ARCH_TARNET)
     payload = make_payload(ARCH_TARNET, params, sc, 0.0, False, "beef4567beef4567")
     model = FittedModel(predict=build_predictors(params, sc), epsilon_hat=0.0,
                         metadata={"architecture": ARCH_TARNET, "treg": False},
@@ -240,7 +243,7 @@ def _saved_payload(tmp_path):
     rng = np.random.default_rng(21)
     X = rng.normal(size=(10, 4))
     sc = Scaler.fit(X, rng.normal(size=10))
-    params = init_network(make_rng(21), 4, shared_widths=(4,), outcome_widths=(3,))
+    params = init_network(np.random.default_rng(21), 4, shared_widths=(4,), outcome_widths=(3,))
     payload = make_payload(ARCH_DRAGONNET, params, sc, 0.0, False, "0123456789abcdef")
     return payload, tmp_path / "ckpt.json"
 

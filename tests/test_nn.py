@@ -8,7 +8,7 @@ from dragonbench.errors import ConfigError, NumericError, ShapeError
 
 
 def test_init_shapes_and_zero_bias():
-    rng = nn.make_rng(0)
+    rng = np.random.default_rng(0)
     layers = nn.init_params(rng, [4, 8, 3])
     assert [l.weights.shape for l in layers] == [(8, 4), (3, 8)]
     for layer in layers:
@@ -16,7 +16,7 @@ def test_init_shapes_and_zero_bias():
 
 
 def test_init_scale_tracks_fan_in():
-    rng = nn.make_rng(1)
+    rng = np.random.default_rng(1)
     layers = nn.init_params(rng, [25, 200, 200, 200])
     for layer in layers:
         fan_in = layer.weights.shape[1]
@@ -25,7 +25,7 @@ def test_init_scale_tracks_fan_in():
 
 
 def test_activation_list_must_match_layer_count():
-    rng = nn.make_rng(0)
+    rng = np.random.default_rng(0)
     with pytest.raises(ConfigError):
         nn.init_params(rng, [3, 4, 1], activations=["elu"])
 
@@ -49,14 +49,14 @@ def test_forward_elu_negative_region():
 
 
 def test_forward_rejects_wrong_width():
-    rng = nn.make_rng(0)
+    rng = np.random.default_rng(0)
     layers = nn.init_params(rng, [4, 2])
     with pytest.raises(ShapeError):
         nn.forward(layers, np.ones((5, 3)))
 
 
 def test_forward_rejects_non_finite_input():
-    rng = nn.make_rng(0)
+    rng = np.random.default_rng(0)
     layers = nn.init_params(rng, [2, 2])
     with pytest.raises(NumericError):
         nn.forward(layers, np.array([[1.0, np.nan]]))
@@ -97,14 +97,14 @@ def test_sgd_config_validation():
 
 
 def test_init_is_deterministic_per_seed():
-    a = nn.init_params(nn.make_rng(42), [3, 5, 2])
-    b = nn.init_params(nn.make_rng(42), [3, 5, 2])
+    a = nn.init_params(np.random.default_rng(42), [3, 5, 2])
+    b = nn.init_params(np.random.default_rng(42), [3, 5, 2])
     for la, lb in zip(a, b):
         np.testing.assert_array_equal(la.weights, lb.weights)
 
 
 def test_apply_stack_accepts_override_params():
-    rng = nn.make_rng(5)
+    rng = np.random.default_rng(5)
     layers = nn.init_params(rng, [2, 3, 1])
     x = rng.normal(size=(4, 2))
     base = nn.forward(layers, x)

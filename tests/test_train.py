@@ -10,7 +10,7 @@ import pytest
 
 from dragonbench.datagen import Dataset, gen_dgp_lin
 from dragonbench.errors import ConfigError, TrainingDivergedError
-from dragonbench.estimators import propensity_accuracy
+from dragonbench.estimators import apply_estimators, propensity_accuracy
 from dragonbench.models import build_predictors, init_network, load_checkpoint, save_checkpoint
 from dragonbench.objectives import select_observed, stationary_epsilon
 from dragonbench.train import (
@@ -19,8 +19,6 @@ from dragonbench.train import (
     config_digest,
     train_architecture,
     train_dragonnet,
-    train_nednet,
-    train_tarnet,
 )
 from dragonbench.models import Scaler
 
@@ -91,7 +89,7 @@ def test_architectures_share_trajectories_when_uncoupled():
     cfg = TrainConfig(alpha=0.0, beta=0.0, epochs=8, patience=0, val_fraction=0.0,
                       shared_widths=(12,), outcome_widths=(6,), seed=11)
     d = train_dragonnet(data, cfg)
-    t = train_tarnet(data, cfg)
+    t = train_architecture("tarnet", data, cfg)
     np.testing.assert_array_equal(d.q0(data.X), t.q0(data.X))
     np.testing.assert_array_equal(d.q1(data.X), t.q1(data.X))
 
@@ -116,7 +114,8 @@ def test_beta_zero_keeps_epsilon_at_zero():
 def test_nednet_rejects_targeted_regularization():
     data = toy_data(n=60)
     with pytest.raises(ConfigError):
-        train_nednet(data, TrainConfig(beta=1.0, **{k: v for k, v in SMALL.items() if k != "beta"}))
+        train_architecture("nednet", data,
+                           TrainConfig(beta=1.0, **{k: v for k, v in SMALL.items() if k != "beta"}))
 
 
 def test_nednet_trunk_never_sees_the_outcomes():
@@ -128,8 +127,8 @@ def test_nednet_trunk_never_sees_the_outcomes():
     twin = Dataset(X=data.X, t=data.t, y=other_y)
     cfg = TrainConfig(epochs=6, patience=0, val_fraction=0.0,
                       shared_widths=(10,), outcome_widths=(6,), seed=13)
-    a = train_nednet(data, cfg)
-    b = train_nednet(twin, cfg)
+    a = train_architecture("nednet", data, cfg)
+    b = train_architecture("nednet", twin, cfg)
     np.testing.assert_array_equal(a.g(data.X), b.g(data.X))
     assert a.payload["stacks"]["shared"] == b.payload["stacks"]["shared"]
     assert a.payload["stacks"]["propensity"] == b.payload["stacks"]["propensity"]
@@ -140,8 +139,8 @@ def test_nednet_trunk_never_sees_the_outcomes():
 
 def test_nednet_phase_traces():
     data = toy_data(n=150, seed=8)
-    model = train_nednet(data, TrainConfig(epochs=5, patience=0, val_fraction=0.0,
-                                           shared_widths=(10,), outcome_widths=(6,), seed=2))
+    model = train_architecture("nednet", data, TrainConfig(
+        epochs=5, patience=0, val_fraction=0.0, shared_widths=(10,), outcome_widths=(6,), seed=2))
     phase1 = model.metadata["phase1"]["train_loss_trace"]
     phase2 = model.metadata["train_loss_trace"]
     assert all(entry["outcome"] == 0.0 for entry in phase1)  # pure cross-entropy
@@ -152,8 +151,9 @@ def test_nednet_phase_traces():
 def test_nednet_phase_totals_are_their_single_term():
     # Each phase fits one term whatever alpha is: its total is that term alone.
     data = toy_data(n=150, seed=8)
-    model = train_nednet(data, TrainConfig(alpha=0.5, epochs=4, patience=0, val_fraction=0.2,
-                                           shared_widths=(10,), outcome_widths=(6,), seed=2))
+    model = train_architecture("nednet", data, TrainConfig(
+        alpha=0.5, epochs=4, patience=0, val_fraction=0.2, shared_widths=(10,), outcome_widths=(6,),
+        seed=2))
     for key in ("train_loss_trace", "val_loss_trace"):
         assert all(e["total"] == e["xent"] for e in model.metadata["phase1"][key])
         assert all(e["total"] == e["outcome"] for e in model.metadata[key])
@@ -231,6 +231,25 @@ def test_standardize_off_still_trains():
     cfg = TrainConfig(standardize=False, **{k: v for k, v in SMALL.items()})
     model = train_dragonnet(data, cfg)
     assert np.all(np.isfinite(model.q0(data.X)))
+
+
+def test_estimates_follow_an_affine_map_of_the_outcome():
+    # With standardize=True the network trains on (y - mean) / std, which is
+    # the same for y and a*y + b (a > 0) up to rounding, so every estimate
+    # moves to a * estimate.  The rounding of the scaler, carried through
+    # SGD, bounds the agreement: 1e-9 in units of a*y here.
+    a, b = 3.0, -7.5
+    data = toy_data(n=200, seed=21)
+    moved = Dataset(X=data.X, t=data.t, y=a * data.y + b)
+    cfg = TrainConfig(beta=1.0, epochs=10, patience=0, val_fraction=0.0, shared_widths=(16,),
+                      outcome_widths=(8,), seed=4, standardize=True)
+    t = data.t.astype(np.float64)
+    base = apply_estimators(train_architecture("dragonnet", data, cfg), data.X, t, data.y)
+    after = apply_estimators(train_architecture("dragonnet", moved, cfg), data.X, t, moved.y)
+    assert set(base) == set(after) == {"Q", "AIPTW", "TMLE", "TREG"}
+    for tag, report in base.items():
+        assert after[tag].psi_hat == pytest.approx(a * report.psi_hat, rel=0, abs=1e-9)
+        assert after[tag].n_used == report.n_used
 
 
 def test_dispatch_rejects_unknown_architecture():
