@@ -9,6 +9,7 @@ scores.  `bench` replicates experiments over seeds and compares methods.
 
 from types import ModuleType as _ModuleType
 
+from .blas import blas_threads  # sets OpenBLAS to one thread for the process
 from .bench import (
     DEFAULT_GRID,
     DEFAULT_TRUNCATION_LEVELS,

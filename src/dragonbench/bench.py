@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .blas import blas_threads
 from .datagen import (
     Dataset,
     SplitIndices,
@@ -582,7 +583,9 @@ def _write_report(out_dir, csv_name, json_name, results: dict, key_column, bundl
     """Write the summary CSV and the JSON bundle under out_dir; returns their paths.
 
     The CSV has one line per summary row of each result in `results`; with
-    a `key_column`, each line starts with the result's key.
+    a `key_column`, each line starts with the result's key.  The bundle
+    gains a top-level "blas_threads": the OpenBLAS thread count the run
+    computed with, or null when it is unknown.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -594,7 +597,7 @@ def _write_report(out_dir, csv_name, json_name, results: dict, key_column, bundl
             for row in res.summary.rows:
                 values = [row.method, row.estimator, repr(row.mean_abs_err), repr(row.std_err), row.n_runs]
                 writer.writerow(([key] if key_column else []) + values)
-    json_path.write_text(json.dumps(bundle))
+    json_path.write_text(json.dumps({**bundle, "blas_threads": blas_threads()}))
     return csv_path, json_path
 
 

@@ -333,7 +333,8 @@ def _chain(name: str, layers: list[DenseLayer], width: int, out: int | None = No
 def load_checkpoint(path) -> FittedModel:
     """Rebuild a model from `save_checkpoint` output.
 
-    A file that is not JSON, a missing section or a non-numeric value raise
+    A file that is not JSON, a missing section, a non-numeric value, a `treg`
+    that is not a bool or a `config_digest` that is not a string raise
     ConfigError; ragged arrays and layer widths that do not chain raise
     ShapeError, at load time rather than at the first prediction.
     """
@@ -348,6 +349,9 @@ def load_checkpoint(path) -> FittedModel:
     arch = obj["architecture"]
     if arch not in ARCHITECTURES:
         raise ConfigError(f"unknown architecture {arch!r}")
+    for key, kind in (("treg", bool), ("config_digest", str)):
+        if not isinstance(obj[key], kind):
+            raise ConfigError(f"checkpoint {key} must be a {kind.__name__}, got {obj[key]!r}")
     sections = _sections(arch)
     stacks = obj["stacks"]
     if not all(isinstance(stacks[s], list) for s in sections.values()):
@@ -369,7 +373,7 @@ def load_checkpoint(path) -> FittedModel:
     return FittedModel(
         predict=build_predictors(net, scaler),
         epsilon_hat=_number(obj["epsilon_hat"], "epsilon_hat"),
-        metadata={"architecture": arch, "treg": bool(obj["treg"]),
+        metadata={"architecture": arch, "treg": obj["treg"],
                   "config_digest": obj["config_digest"]},
         payload=obj,
     )

@@ -228,7 +228,7 @@ def ihdp_grid():
     cfg = ExperimentConfig(
         dgp={"kind": "ihdp_like", "n": 747, "p": 25},
         alpha=1.0, beta=1.0, split=(0.63, 0.27, 0.10), replications=50,
-        base_seed=7, train=TrainConfig(epochs=100, patience=8),
+        base_seed=7, train=TrainConfig(epochs=100, patience=8), workers=2,
     )
     return run_grid(cfg)
 
@@ -276,7 +276,7 @@ def irrelevant_cells():
                  "p_outcome_only": p_outcome_only, "tau": 1.0},
             architecture=arch, treg=False, alpha=3.0,
             split=(0.7, 0.1, 0.2), replications=100, base_seed=11,
-            train=IRR_TRAIN,
+            train=IRR_TRAIN, workers=2,
         )
         out[(arch, p_outcome_only)] = run_experiment(cfg)
     return out

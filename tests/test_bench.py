@@ -6,11 +6,13 @@ under test, not estimation quality.
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dragonbench.bench as bench
+from dragonbench import blas_threads
 from dragonbench.bench import (
     ExperimentConfig,
     RunResult,
@@ -43,6 +45,8 @@ from dragonbench.estimators import (
 )
 from dragonbench.models import FittedModel
 from dragonbench.train import TrainConfig
+
+DATA = Path(__file__).parent / "data"
 
 TINY_TRAIN = TrainConfig(epochs=3, patience=0, val_fraction=0.0,
                          shared_widths=(8,), outcome_widths=(4,))
@@ -503,6 +507,18 @@ def test_report_roundtrip_preserves_runs_and_summary(tmp_path):
         assert rewritten[name].read_bytes() == path.read_bytes()
 
 
+def test_load_report_reads_a_runs_json_written_before_blas_threads(tmp_path):
+    # emit_report(run_experiment(tiny_config(replications=2))) of a version
+    # whose reports did not record the BLAS thread count
+    old = DATA / "runs_without_blas_threads.json"
+    loaded = load_report(old)["dragonnet"]
+    fresh = run_experiment(tiny_config(replications=2))
+    assert loaded.config == fresh.config
+    assert loaded.summary == fresh.summary
+    rewritten = json.loads(emit_report(loaded, tmp_path)["runs"].read_text())
+    assert rewritten == {**json.loads(old.read_text()), "blas_threads": blas_threads()}
+
+
 MALFORMED_REPORTS = {
     "cut-off": lambda text: text[:-10],
     "no-methods": lambda text: text.replace('"methods"', '"levels"'),
@@ -536,6 +552,7 @@ def test_emit_report_grid_bundle(tmp_path):
     assert set(bundle["methods"]) == {"tarnet", "dragonnet"}
     assert bundle["baseline"] == "tarnet"
     assert "dragonnet" in bundle["comparisons"]
+    assert bundle["blas_threads"] == blas_threads()
     lines = paths["summary"].read_text().strip().splitlines()
     assert len(lines) == 1 + 4  # two methods x two estimators
 
@@ -561,6 +578,7 @@ def test_emit_sweep_report(tmp_path):
     bundle = json.loads(paths["json"].read_text())
     assert bundle["kind"] == "trim"
     assert set(bundle["levels"]) == {"0.01:0.99", "0.1:0.9"}
+    assert bundle["blas_threads"] == blas_threads()
 
 
 def test_format_helpers_render_tables():

@@ -299,6 +299,18 @@ def test_v1_checkpoint_fixtures_still_predict_the_same(arch):
         np.testing.assert_allclose(got, stored[arch][name], rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("treg", "false"), ("treg", 0), ("config_digest", 7), ("config_digest", None),
+])
+def test_checkpoint_treg_and_config_digest_of_the_wrong_type_are_config_errors(tmp_path, key, value):
+    payload = json.loads((DATA / "checkpoint_v1_nednet.json").read_text())
+    payload[key] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match=f"checkpoint {key} must be"):
+        load_checkpoint(path)
+
+
 def _ragged_weights(payload):
     payload["stacks"]["shared"][0]["weights"][0] = [1.0]
 
