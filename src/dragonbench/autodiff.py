@@ -156,7 +156,8 @@ def log(a):
 def linear(x, weights, bias):
     """Affine map `x @ weights.T + bias` with weights stored (out, in)."""
     xv, wv, bv = _value(x), _value(weights), _value(bias)
-    out = xv @ wv.T + bv
+    out = xv @ wv.T
+    out += bv
     return _node(
         out,
         (x, lambda g: g @ wv),

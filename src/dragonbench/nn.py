@@ -117,7 +117,8 @@ def apply_stack(layers: Iterable[DenseLayer], x, params=None):
     h = x
     for i, layer in enumerate(layers):
         w, b = (layer.weights, layer.bias) if params is None else params[i]
-        h = _ACT_FNS[layer.activation](ad.linear(h, w, b))
+        h = ad.linear(h, w, b)  # frees the previous activation before the next is made
+        h = _ACT_FNS[layer.activation](h)
     return h
 
 

@@ -5,6 +5,13 @@ Networks here are deliberately tiny; statistical quality has its own
 tests at realistic sizes in the acceptance suite.
 """
 
+import json
+import multiprocessing
+import os
+import threading
+import warnings
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -16,6 +23,7 @@ from dragonbench.objectives import select_observed, stationary_epsilon
 from dragonbench.train import (
     TrainConfig,
     _child_rngs,
+    _spare_core,
     config_digest,
     train_architecture,
     train_dragonnet,
@@ -186,6 +194,69 @@ def test_divergence_raises_typed_error():
         with np.errstate(all="ignore"):
             train_dragonnet(data, cfg)
     assert "epoch" in str(exc.value)
+
+
+def test_small_fits_start_no_worker_thread(monkeypatch):
+    def no_threads(*args, **kwargs):
+        raise AssertionError("a worker thread was started")
+
+    monkeypatch.setattr("dragonbench.train.ThreadPoolExecutor", no_threads)
+    cfg = TrainConfig(epochs=3, patience=0, shared_widths=(10,), outcome_widths=(6,), seed=0)
+    train_dragonnet(toy_data(n=150, seed=3), cfg)
+    if _spare_core():  # the stub does catch a fit that overlaps
+        monkeypatch.setattr("dragonbench.train.OVERLAP_MIN_WORK", 0)
+        with pytest.raises(AssertionError, match="worker thread"):
+            train_dragonnet(toy_data(n=150, seed=3), cfg)
+
+
+def test_divergence_in_an_overlapped_epoch_keeps_the_callers_error_state(monkeypatch):
+    # At this rate epoch 0 scores finite and epoch 1's SGD overflows, on the
+    # worker thread when a spare core exists; an overflow warning there
+    # would surface as the error instead of the typed one.
+    monkeypatch.setattr("dragonbench.train.OVERLAP_MIN_WORK", 0)
+    data = toy_data(n=100, seed=10)
+    cfg = TrainConfig(learning_rate=1e4, epochs=30, patience=0, val_fraction=0.0,
+                      shared_widths=(16,), outcome_widths=(8,), seed=0)
+    threads = threading.active_count()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as exc:
+            train_dragonnet(data, cfg)
+    assert exc.value.epoch == 1
+    assert threading.active_count() == threads
+
+
+# (architecture, config) of fits that each stop on patience before 80 epochs:
+# dragonnet+treg on a carved validation set, tarnet on its training total,
+# and nednet, whose phase 2 reuses the ordering generator after phase 1
+# stopped, so an epoch started past a possible stop would change it.
+PARITY_FITS = [
+    ("dragonnet", dict(beta=1.0, val_fraction=0.25, patience=3)),
+    ("tarnet", dict(val_fraction=0.0, patience=2, learning_rate=0.05)),
+    ("nednet", dict(val_fraction=0.25, patience=3, learning_rate=0.02)),
+]
+
+
+def _parity_fit(arch: str, overrides: dict) -> tuple:
+    """(whether this process overlaps epochs, payload JSON, metadata JSON)."""
+    cfg = TrainConfig(epochs=80, shared_widths=(10,), outcome_widths=(6,), seed=5, **overrides)
+    model = train_architecture(arch, toy_data(n=150, seed=16), cfg)
+    return (_spare_core(), json.dumps(model.payload, sort_keys=True),
+            json.dumps(model.metadata, sort_keys=True))
+
+
+def test_overlapped_fits_match_inline_fits_bit_for_bit(monkeypatch):
+    monkeypatch.setattr("dragonbench.train.OVERLAP_MIN_WORK", 0)  # these fits are tiny
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+        inline = [pool.submit(_parity_fit, *fit).result(timeout=120) for fit in PARITY_FITS]
+    here = [_parity_fit(*fit) for fit in PARITY_FITS]
+    assert [fit[0] for fit in inline] == [False] * len(PARITY_FITS)
+    assert [fit[0] for fit in here] == [len(os.sched_getaffinity(0)) > 1] * len(PARITY_FITS)
+    assert [fit[1:] for fit in here] == [fit[1:] for fit in inline]
+    for _, _, meta in here:
+        assert json.loads(meta)["epochs_run"] < 80
+    assert json.loads(here[2][2])["phase1"]["epochs_run"] < 80
 
 
 def test_validation_monitor_marks_the_best_epoch():
