@@ -127,6 +127,7 @@ class ExperimentConfig:
         object.__setattr__(self, "split", tuple(float(q) for q in self.split))
         if len(self.split) != 3:
             raise ConfigError("split needs (train, validation, test) proportions")
+        SplitSpec(*self.split)
         if self.estimators is not None:
             object.__setattr__(self, "estimators", tuple(self.estimators))
             unknown = set(self.estimators) - set(ESTIMATOR_TAGS)

@@ -16,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from .bench import (
+    ARCH_ORACLE,
     DEFAULT_BASELINE,
     DEFAULT_TRUNCATION_LEVELS,
     ExperimentConfig,
@@ -30,9 +31,9 @@ from .bench import (
     truncation_sweep,
 )
 from .datagen import load_csv, write_csv
-from .errors import ConfigError, IngestionError, ShapeError, UsageError
+from .errors import PACKAGE_ERRORS, ConfigError
 from .estimators import apply_estimators
-from .models import load_checkpoint, save_checkpoint
+from .models import ARCHITECTURES, load_checkpoint, save_checkpoint
 from .schema import config_values
 from .train import TrainConfig, train_architecture
 
@@ -42,6 +43,10 @@ def _parse_pair(text: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected 'low,high', got {text!r}")
     return float(parts[0]), float(parts[1])
+
+
+def _parse_rates(text: str) -> list[float]:
+    return [float(r) for r in text.split(",")]
 
 
 def _parse_levels(text: str):
@@ -71,7 +76,7 @@ def _load_config(args) -> ExperimentConfig:
 
 def _add_bench_flags(sub):
     sub.add_argument("--config", required=True, help="experiment config JSON")
-    sub.add_argument("--arch", dest="architecture", choices=["dragonnet", "tarnet", "nednet", "oracle"])
+    sub.add_argument("--arch", dest="architecture", choices=[*ARCHITECTURES, ARCH_ORACLE])
     sub.add_argument("--treg", dest="treg", action="store_const", const=True)
     sub.add_argument("--no-treg", dest="treg", action="store_const", const=False)
     sub.add_argument("--alpha", type=float)
@@ -95,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tr = subs.add_parser("train", help="fit one model on a CSV and save a checkpoint")
     tr.add_argument("--data", required=True)
-    tr.add_argument("--arch", default="dragonnet", choices=["dragonnet", "tarnet", "nednet"])
+    tr.add_argument("--arch", default="dragonnet", choices=ARCHITECTURES)
     tr.add_argument("--alpha", type=float, default=1.0)
     tr.add_argument("--beta", type=float, default=0.0)
     tr.add_argument("--epochs", type=int)
@@ -115,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub_sweep = subs.add_parser("sweep-subsample", help="re-run at nested subsample rates")
     _add_bench_flags(sub_sweep)
-    sub_sweep.add_argument("--rates", required=True, help="comma-separated rates in (0, 1]")
+    sub_sweep.add_argument("--rates", required=True, type=_parse_rates, help="comma-separated rates in (0, 1]")
 
     trim_sweep = subs.add_parser("sweep-trim", help="re-estimate under several trim levels")
     _add_bench_flags(trim_sweep)
@@ -131,6 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_generate(args) -> int:
     with config_values("--dgp"):
         dgp = json.loads(args.dgp)
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     dataset = make_dataset(dgp, np.random.default_rng(args.seed), 0)
     write_csv(dataset, args.out)
     print(f"wrote {dataset.n} rows x {dataset.p} covariates to {args.out}")
@@ -185,9 +192,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_sweep_subsample(args) -> int:
     cfg = _load_config(args)
-    rates = [float(r) for r in args.rates.split(",")]
-    sweep = subsample_sweep(cfg, rates)
-    for rate in rates:
+    sweep = subsample_sweep(cfg, args.rates)
+    for rate in args.rates:
         print(f"rate {rate}:")
         print(format_summary(sweep[rate]))
         print()
@@ -221,7 +227,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ShapeError, UsageError, IngestionError) as err:
+    except PACKAGE_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -321,6 +321,9 @@ def load_csv(path) -> Dataset:
             except ValueError:
                 bad.append((line_no, "non-numeric field"))
                 continue
+            if not np.isfinite(values).all():
+                bad.append((line_no, "non-finite field"))
+                continue
             t_val = values[n_x]
             if t_val not in (0.0, 1.0):
                 bad.append((line_no, f"t must be 0 or 1, got {row[n_x]}"))

@@ -46,3 +46,7 @@ class IngestionError(ValueError):
     def __init__(self, message: str, lines=()):
         super().__init__(message)
         self.lines = tuple(lines)
+
+
+PACKAGE_ERRORS = (ShapeError, ConfigError, NumericDomainError, NumericError,  # all of the above
+                  TrainingDivergedError, EstimationError, UsageError, IngestionError)

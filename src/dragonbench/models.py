@@ -32,7 +32,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, NumericError, ShapeError, UsageError
 from .nn import DenseLayer, apply_stack, float_array, init_params
-from .schema import config_values
+from .schema import config_values, plain
 
 ARCH_DRAGONNET = "dragonnet"
 ARCH_TARNET = "tarnet"
@@ -51,7 +51,8 @@ class ThreeHeadNet:
     `propensity` is a one-layer stack (linear map + sigmoid) that reads z,
     or the raw covariates x when `g_reads_x`.  Draw order in `init_network`
     is shared, head0, head1, propensity, so the shared and outcome draws are
-    the same for every architecture at one seed.
+    the same for every architecture at one seed.  ShapeError, naming the
+    stack, when a stack is empty or its widths do not chain from x to 1 column.
     """
 
     shared: list[DenseLayer]
@@ -60,6 +61,18 @@ class ThreeHeadNet:
     propensity: list[DenseLayer]
     g_reads_x: bool = False
     epsilon: np.ndarray = field(default_factory=lambda: np.zeros(()))
+
+    def __post_init__(self):
+        p, rep = (self.shared[0].in_dim, self.shared[-1].out_dim) if self.shared else (0, 0)
+        for name, width, out in (("shared", p, rep), ("head0", rep, 1), ("head1", rep, 1),
+                                 ("propensity", p if self.g_reads_x else rep, 1)):
+            layers = getattr(self, name)
+            for i, layer in enumerate(layers):
+                if layer.in_dim != width:
+                    raise ShapeError(f"{name} layer {i} takes {layer.in_dim} inputs, gets {width}")
+                width = layer.out_dim
+            if not layers or width != out:
+                raise ShapeError(f"stack {name} is empty or does not output {out} columns")
 
     def leaves(self, stacks: Sequence[str] = STACKS) -> list[np.ndarray]:
         """(weights, bias) of every layer of the named stacks, in order; the
@@ -103,8 +116,6 @@ def init_network(
     outcome_widths: Sequence[int] = (100, 100),
     arch: str = ARCH_DRAGONNET,
 ) -> ThreeHeadNet:
-    if n_covariates < 1:
-        raise ConfigError("n_covariates must be >= 1")
     g_reads_x = arch == ARCH_TARNET
     rep = shared_widths[-1]
     head_sizes = [rep, *outcome_widths, 1]
@@ -116,11 +127,23 @@ def init_network(
     return ThreeHeadNet(shared, head0, head1, propensity, g_reads_x)
 
 
+def _number(value, name: str) -> float:
+    """`value` as a finite float; ConfigError naming `name` otherwise."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ConfigError(f"{name} is not a number: {value!r}") from err
+    if not np.isfinite(number):
+        raise ConfigError(f"{name} is not finite: {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class Scaler:
     """Column-standardization fitted on the training sample.
 
-    Constant columns get std 1 so the transform stays well defined.
+    Constant columns get std 1 so the transform stays well defined.  Lists are
+    accepted; a mean must be finite and a std finite and > 0 (ConfigError).
     """
 
     x_mean: np.ndarray
@@ -128,12 +151,23 @@ class Scaler:
     y_mean: float
     y_std: float
 
+    def __post_init__(self):
+        for key, convert in (("x_mean", float_array), ("x_std", float_array),
+                             ("y_mean", _number), ("y_std", _number)):
+            object.__setattr__(self, key, convert(getattr(self, key), f"scaler {key}"))
+        if self.x_mean.ndim != 1 or self.x_std.shape != self.x_mean.shape:
+            raise ShapeError("scaler x_mean and x_std must be rows of one width")
+        if not np.isfinite(self.x_mean).all():
+            raise ConfigError("scaler x_mean is not finite")
+        for key in ("x_std", "y_std"):
+            if not np.all(np.isfinite(getattr(self, key)) & (getattr(self, key) > 0)):
+                raise ConfigError(f"scaler {key} must be finite and > 0")
+
     @classmethod
     def fit(cls, X: np.ndarray, y: np.ndarray) -> "Scaler":
-        x_std = X.std(axis=0)
-        x_std = np.where(x_std > 0, x_std, 1.0)
-        y_std = float(y.std())
-        return cls(X.mean(axis=0), x_std, float(y.mean()), y_std if y_std > 0 else 1.0)
+        x_std, y_std = X.std(axis=0), y.std()
+        return cls(X.mean(axis=0), np.where(x_std > 0, x_std, 1.0), y.mean(),
+                   y_std if y_std > 0 else 1.0)
 
     @classmethod
     def identity(cls, n_covariates: int) -> "Scaler":
@@ -257,29 +291,6 @@ def _sections(arch: str) -> dict[str, str]:
             for name in STACKS}
 
 
-def _layer_to_json(layer: DenseLayer) -> dict:
-    return {
-        "weights": layer.weights.tolist(),
-        "bias": layer.bias.tolist(),
-        "activation": layer.activation,
-    }
-
-
-def _number(value, where: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"checkpoint {where} is not a number: {value!r}") from err
-
-
-def _layers_from_json(section: str, objs: list) -> list[DenseLayer]:
-    """The layers of one checkpoint section; a typed error names the section."""
-    try:
-        return [DenseLayer(o["weights"], o["bias"], o["activation"]) for o in objs]
-    except (ConfigError, ShapeError) as err:
-        raise type(err)(f"checkpoint {section} layer {err}") from err
-
-
 def make_payload(arch: str, net: ThreeHeadNet, scaler: Scaler, epsilon_hat: float, treg: bool,
                  config_digest: str, train_config: dict | None = None) -> dict:
     return {
@@ -290,16 +301,8 @@ def make_payload(arch: str, net: ThreeHeadNet, scaler: Scaler, epsilon_hat: floa
         "epsilon_hat": float(epsilon_hat),
         "config_digest": config_digest,
         "train_config": train_config,
-        "scaler": {
-            "x_mean": scaler.x_mean.tolist(),
-            "x_std": scaler.x_std.tolist(),
-            "y_mean": scaler.y_mean,
-            "y_std": scaler.y_std,
-        },
-        "stacks": {
-            section: [_layer_to_json(l) for l in getattr(net, name)]
-            for name, section in _sections(arch).items()
-        },
+        "scaler": plain(scaler),
+        "stacks": {section: plain(getattr(net, name)) for name, section in _sections(arch).items()},
     }
 
 
@@ -311,32 +314,18 @@ def save_checkpoint(model: FittedModel, path) -> None:
     """
     if model.payload is None:
         raise UsageError("this model has no serializable parameters (oracle or function-backed)")
-    path = Path(path)
-    path.write_text(json.dumps(model.payload))
-
-
-def _chain(name: str, layers: list[DenseLayer], width: int, out: int | None = None) -> int:
-    """Output width of stack `name` fed `width` columns; ShapeError when it is
-    empty, its layer widths do not chain, or it does not end at `out`."""
-    for i, layer in enumerate(layers):
-        if layer.in_dim != width:
-            raise ShapeError(
-                f"checkpoint {name} layer {i} takes {layer.in_dim} inputs, gets {width}"
-            )
-        width = layer.out_dim
-    if not layers or out not in (None, width):
-        raise ShapeError(f"checkpoint stack {name} is empty or does not output {out} columns")
-    return width
+    Path(path).write_text(json.dumps(model.payload))
 
 
 @config_values("checkpoint")
 def load_checkpoint(path) -> FittedModel:
     """Rebuild a model from `save_checkpoint` output.
 
-    A file that is not JSON, a missing section, a non-numeric value, a `treg`
-    that is not a bool or a `config_digest` that is not a string raise
-    ConfigError; ragged arrays and layer widths that do not chain raise
-    ShapeError, at load time rather than at the first prediction.
+    A file that is not JSON, a missing section, a value that is not a number,
+    a non-finite epsilon_hat, a scaler that `Scaler` rejects, a `treg` that
+    is not a bool or a `config_digest` that is not a string raise ConfigError
+    naming the key; ragged arrays and layer widths that do not chain raise
+    ShapeError, and non-finite weights NumericError, at load time.
     """
     try:
         obj = json.loads(Path(path).read_text())
@@ -353,44 +342,28 @@ def load_checkpoint(path) -> FittedModel:
         if not isinstance(obj[key], kind):
             raise ConfigError(f"checkpoint {key} must be a {kind.__name__}, got {obj[key]!r}")
     sections = _sections(arch)
-    stacks = obj["stacks"]
+    stacks, sc = obj["stacks"], obj["scaler"]
     if not all(isinstance(stacks[s], list) for s in sections.values()):
         raise ConfigError("checkpoint stacks must be lists of layers")
-    layers = {name: _layers_from_json(section, stacks[section])
-              for name, section in sections.items()}
-    net = ThreeHeadNet(**layers, g_reads_x=arch == ARCH_TARNET)
-    p = net.shared[0].in_dim if net.shared else 0
-    rep = _chain("shared", net.shared, p)
-    _chain("head0", net.head0, rep, 1)
-    _chain("head1", net.head1, rep, 1)
-    _chain(sections["propensity"], net.propensity, p if net.g_reads_x else rep, 1)
-    sc = obj["scaler"]
-    x_mean, x_std = (float_array(sc[k], f"checkpoint scaler {k}") for k in ("x_mean", "x_std"))
-    scaler = Scaler(x_mean, x_std, _number(sc["y_mean"], "scaler y_mean"),
-                    _number(sc["y_std"], "scaler y_std"))
-    if x_mean.shape != (p,) or x_std.shape != (p,):
-        raise ShapeError(f"checkpoint scaler does not have {p} columns")
+    layers = {}
+    for name, section in sections.items():
+        try:
+            layers[name] = [DenseLayer(o["weights"], o["bias"], o["activation"])
+                            for o in stacks[section]]
+        except (ConfigError, ShapeError) as err:
+            raise type(err)(f"checkpoint {section} layer {err}") from err
+    try:
+        net = ThreeHeadNet(**layers, g_reads_x=arch == ARCH_TARNET)
+        scaler = Scaler(sc["x_mean"], sc["x_std"], sc["y_mean"], sc["y_std"])
+        epsilon_hat = _number(obj["epsilon_hat"], "epsilon_hat")
+    except (ConfigError, ShapeError) as err:
+        raise type(err)(f"checkpoint {err}") from err
+    if scaler.x_mean.shape != (net.shared[0].in_dim,):
+        raise ShapeError(f"checkpoint scaler does not have {net.shared[0].in_dim} columns")
     return FittedModel(
         predict=build_predictors(net, scaler),
-        epsilon_hat=_number(obj["epsilon_hat"], "epsilon_hat"),
+        epsilon_hat=epsilon_hat,
         metadata={"architecture": arch, "treg": obj["treg"],
                   "config_digest": obj["config_digest"]},
         payload=obj,
     )
-
-
-__all__ = [
-    "ARCHITECTURES",
-    "ARCH_DRAGONNET",
-    "ARCH_TARNET",
-    "ARCH_NEDNET",
-    "STACKS",
-    "FittedModel",
-    "Scaler",
-    "ThreeHeadNet",
-    "init_network",
-    "build_predictors",
-    "make_payload",
-    "save_checkpoint",
-    "load_checkpoint",
-]

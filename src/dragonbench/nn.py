@@ -30,7 +30,7 @@ def float_array(value, name: str) -> np.ndarray:
     when an entry is not a number."""
     try:
         return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         if "inhomogeneous" in str(err):
             raise ShapeError(f"{name} is ragged") from err
         raise ConfigError(f"{name} is not numeric: {err}") from err

@@ -1,8 +1,8 @@
 """The JSON shape of configs and results, derived from their dataclass fields.
 
 `plain` is the one dataclass -> JSON mapping: every `to_dict` is
-`plain(self)`, so a config's or a result's JSON keys are its field names
-in declaration order.  In the other direction `check_keys`,
+`plain(self)`, so a config's, a result's or a checkpoint section's JSON
+keys are its field names in declaration order.  In the other direction `check_keys`,
 `check_bools` and `config_values` turn malformed input into ConfigError.
 """
 
@@ -11,12 +11,16 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 
+import numpy as np
+
 from .errors import ConfigError, ShapeError
 
 
 def plain(obj):
     """dataclass -> {field: plain(value)} in field order, tuple/list -> list,
-    dict -> dict; anything else is returned unchanged."""
+    dict -> dict, ndarray -> nested lists; anything else is returned unchanged."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
     if is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: plain(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, (tuple, list)):

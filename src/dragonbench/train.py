@@ -199,7 +199,8 @@ def _sgd_loop(
     cfg: TrainConfig,
     order_rng: np.random.Generator,
 ) -> dict:
-    """Run up to cfg.epochs epochs; returns traces and restores best leaves.
+    """Run up to cfg.epochs epochs and restore the best leaves; returns the
+    metadata of the run: the loss traces as JSON, best_epoch and epochs_run.
 
     The loss is the weighted total of terms(x, y, t, leaves) -> (outcome,
     xent, treg) on minibatches of `train`'s rows `batch_rows`; `train` and
@@ -233,8 +234,7 @@ def _sgd_loop(
             sgd_momentum_step(leaves, grads, state)
 
     state = SgdMomentum.for_params(leaves, cfg.learning_rate, cfg.momentum)
-    train_trace: list[LossBreakdown] = []
-    val_trace: list[LossBreakdown] = []
+    train_trace, val_trace = [], []
     best_monitor = np.inf
     best_epoch = -1
     best_snapshot = None
@@ -278,8 +278,8 @@ def _sgd_loop(
         for a, s in zip(leaves, best_snapshot):
             a[...] = s
     return {
-        "train_trace": train_trace,
-        "val_trace": val_trace,
+        "train_loss_trace": plain(train_trace),
+        "val_loss_trace": plain(val_trace),
         "best_epoch": best_epoch,
         "epochs_run": len(train_trace),
     }
@@ -320,15 +320,6 @@ def _finalize_epsilon(net: ThreeHeadNet, Xs, ys, ts, cfg: TrainConfig):
     net.epsilon[...] = stationary_epsilon(ys, q_at_t, ts, gc)
 
 
-def _traces_to_meta(loop: dict) -> dict:
-    return {
-        "train_loss_trace": [b.to_dict() for b in loop["train_trace"]],
-        "val_loss_trace": [b.to_dict() for b in loop["val_trace"]],
-        "best_epoch": loop["best_epoch"],
-        "epochs_run": loop["epochs_run"],
-    }
-
-
 def _train(arch: str, data: Dataset, cfg: TrainConfig, rng, val_data) -> FittedModel:
     """Shared trainer: one joint objective, or nednet's two phases."""
     if rng is None:
@@ -352,7 +343,7 @@ def _train(arch: str, data: Dataset, cfg: TrainConfig, rng, val_data) -> FittedM
         loop = fit(STACKS, joint_terms, (cfg.alpha, cfg.beta), (Xs, ys, ts), ext_val)
         if cfg.beta > 0 and cfg.finalize_epsilon:
             _finalize_epsilon(net, Xs, ys, ts, cfg)
-        return _fitted(arch, net, scaler, cfg, **_traces_to_meta(loop))
+        return _fitted(arch, net, scaler, cfg, **loop)
 
     # Phase 1: the shared stack and the propensity on cross-entropy alone.
     p1_stacks = ("shared", "propensity")
@@ -375,8 +366,7 @@ def _train(arch: str, data: Dataset, cfg: TrainConfig, rng, val_data) -> FittedM
     Z = apply_stack(net.shared, Xs)
     Zval = None if ext_val is None else (apply_stack(net.shared, ext_val[0]), *ext_val[1:])
     loop2 = fit(p2_stacks, p2_terms, NEDNET_WEIGHTS, (Z, ys, ts), Zval)
-    return _fitted(arch, net, scaler, cfg, beta=0.0, **_traces_to_meta(loop2),
-                   phase1=_traces_to_meta(loop1))
+    return _fitted(arch, net, scaler, cfg, beta=0.0, **loop2, phase1=loop1)
 
 
 def _fitted(arch: str, net: ThreeHeadNet, scaler: Scaler, cfg: TrainConfig, **meta) -> FittedModel:

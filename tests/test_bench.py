@@ -88,6 +88,16 @@ def test_config_validation():
         tiny_config(dgp={"n": 10})
 
 
+@pytest.mark.parametrize("split, match", [
+    ((0.5, 0.5, 0.5), "proportions must sum to 1"),
+    ((-0.5, 1.0, 0.5), "train proportion must be >= 0"),
+    ((0.5, 0.5), "split needs"),
+])
+def test_config_rejects_a_bad_split_when_built(split, match):
+    with pytest.raises(ConfigError, match=match):
+        tiny_config(split=split)
+
+
 def test_config_roundtrip():
     cfg = tiny_config(treg=True, estimators=("TREG", "TMLE"), workers=2)
     again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))

@@ -199,3 +199,66 @@ def test_estimate_on_a_csv_of_the_wrong_width_exits_with_code_two(tmp_path, caps
 def test_unknown_subcommand_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.fixture
+def fitted(tmp_path):
+    """A generated CSV and the path of a one-epoch checkpoint fitted on it."""
+    data_path, ckpt = tmp_path / "d.csv", tmp_path / "m.json"
+    main(["generate", "--dgp", '{"kind": "lin", "n": 60, "p": 2}',
+          "--seed", "1", "--out", str(data_path)])
+    main(["train", "--data", str(data_path), "--epochs", "1", "--out", str(ckpt)])
+    return data_path, ckpt
+
+
+def error_line(capsys) -> str:
+    """The one line a failed command writes to stderr."""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_estimate_that_trims_every_row_exits_with_code_two(fitted, capsys):
+    data_path, ckpt = fitted
+    capsys.readouterr()
+    rc = main(["estimate", "--checkpoint", str(ckpt), "--data", str(data_path),
+               "--trim", "0.49,0.491"])
+    assert rc == 2
+    assert "removed every row" in error_line(capsys)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_estimate_with_non_finite_predictions_exits_with_code_two(fitted, capsys):
+    data_path, ckpt = fitted
+    payload = json.loads(ckpt.read_text())
+    payload["stacks"]["head0"][-1]["weights"] = [[1e308] * 100]  # finite, but q0 overflows
+    ckpt.write_text(json.dumps(payload))
+    capsys.readouterr()
+    rc = main(["estimate", "--checkpoint", str(ckpt), "--data", str(data_path)])
+    assert rc == 2
+    assert "q0 contains non-finite values" in error_line(capsys)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_train_exits_with_code_two(fitted, capsys):
+    data_path, ckpt = fitted
+    capsys.readouterr()
+    rc = main(["train", "--data", str(data_path), "--alpha", "1e200", "--epochs", "3",
+               "--out", str(ckpt)])
+    assert rc == 2
+    assert "training diverged at epoch 0" in error_line(capsys)
+
+
+def test_generate_with_a_negative_seed_exits_with_code_two(tmp_path, capsys):
+    rc = main(["generate", "--dgp", '{"kind": "lin", "n": 20, "p": 2}', "--seed", "-1",
+               "--out", str(tmp_path / "d.csv")])
+    assert rc == 2
+    assert "--seed must be >= 0" in error_line(capsys)
+
+
+def test_sweep_subsample_with_a_non_numeric_rate_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-subsample", "--config", write_config(tmp_path), "--rates", "0.5,abc"])
+    assert exc.value.code == 2
+    assert "argument --rates: invalid _parse_rates value: '0.5,abc'" in capsys.readouterr().err
+

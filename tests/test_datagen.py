@@ -169,6 +169,21 @@ def test_load_csv_reports_bad_line_numbers(tmp_path):
     assert "line 4" in str(exc.value)
 
 
+def test_load_csv_reports_non_finite_fields_as_bad_lines(tmp_path):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(
+        "x0,t,y,mu0,mu1\n"
+        "1.0,0,2.0,1.0,2.0\n"
+        "1.0,1,2.0,1.0,nan\n"    # line 3
+        "inf,1,1.5,1.0,2.0\n"    # line 4
+        "2.0,0,-Infinity,1.0,2.0\n"  # line 5
+    )
+    with pytest.raises(IngestionError) as exc:
+        load_csv(path)
+    assert exc.value.lines == (3, 4, 5)
+    assert "line 3: non-finite field" in str(exc.value)
+
+
 def test_load_csv_collects_every_malformed_row(tmp_path):
     path = tmp_path / "bad2.csv"
     path.write_text(

@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 import dragonbench
-import dragonbench.models
 from dragonbench.errors import ConfigError, ShapeError, UsageError
+from dragonbench.nn import DenseLayer
 from dragonbench.models import (
     ARCH_DRAGONNET,
     ARCH_NEDNET,
     ARCH_TARNET,
     FittedModel,
     Scaler,
+    ThreeHeadNet,
     build_predictors,
     init_network,
     load_checkpoint,
@@ -265,6 +266,15 @@ def test_load_checkpoint_layer_width_mismatch_is_a_shape_error(tmp_path):
         load_checkpoint(path)
 
 
+def test_a_network_whose_stacks_do_not_chain_is_a_shape_error():
+    net = small_dragonnet()
+    narrow_head = [DenseLayer(np.ones((1, 6)), np.zeros(1))]
+    with pytest.raises(ShapeError, match="head1 layer 0 takes 6 inputs, gets 8"):
+        ThreeHeadNet(net.shared, net.head0, narrow_head, net.propensity)
+    with pytest.raises(ShapeError, match="stack propensity is empty"):
+        ThreeHeadNet(net.shared, net.head0, net.head1, [])
+
+
 def test_named_leaf_subsets_map_back_to_their_stacks():
     params = small_dragonnet()
     heads = ("head0", "head1")
@@ -327,11 +337,41 @@ def _number_for_a_stack(payload):
     payload["stacks"]["head0"] = 5
 
 
+def _nan_epsilon(payload):
+    payload["epsilon_hat"] = float("nan")  # json writes NaN and reads it back
+
+
+def _zero_x_std(payload):
+    payload["scaler"]["x_std"][0] = 0.0
+
+
+def _infinite_y_std(payload):
+    payload["scaler"]["y_std"] = float("inf")
+
+
+def _nan_x_mean(payload):
+    payload["scaler"]["x_mean"][1] = float("nan")
+
+
+def _infinite_y_mean(payload):
+    payload["scaler"]["y_mean"] = float("-inf")
+
+
+def _huge_integer_weight(payload):
+    payload["stacks"]["head1"][0]["weights"][0][0] = 10**400  # no float64 holds it
+
+
 @pytest.mark.parametrize("corrupt, error, match", [
     (_ragged_weights, ShapeError, "shared layer weights is ragged"),
     (_text_weights, ConfigError, "head1 layer weights is not numeric"),
     (_text_epsilon, ConfigError, "epsilon_hat is not a number"),
     (_number_for_a_stack, ConfigError, "stacks must be lists"),
+    (_nan_epsilon, ConfigError, "checkpoint epsilon_hat is not finite"),
+    (_zero_x_std, ConfigError, "checkpoint scaler x_std must be finite and > 0"),
+    (_infinite_y_std, ConfigError, "checkpoint scaler y_std is not finite"),
+    (_nan_x_mean, ConfigError, "checkpoint scaler x_mean is not finite"),
+    (_infinite_y_mean, ConfigError, "checkpoint scaler y_mean is not finite"),
+    (_huge_integer_weight, ConfigError, "head1 layer weights is not numeric"),
     (None, ConfigError, "not JSON"),
 ])
 def test_load_checkpoint_malformed_values_raise_typed_errors(tmp_path, corrupt, error, match):
@@ -345,11 +385,10 @@ def test_load_checkpoint_malformed_values_raise_typed_errors(tmp_path, corrupt, 
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("module", [dragonbench, dragonbench.models])
+@pytest.mark.parametrize("module", [dragonbench])
 def test_every_exported_name_resolves(module):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing
-    if module is dragonbench:
-        public = {name for name, value in vars(module).items()
-                  if not name.startswith("_") and not inspect.ismodule(value)}
-        assert not public - set(module.__all__)
+    public = {name for name, value in vars(module).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert not public - set(module.__all__)
