@@ -25,6 +25,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from operator import index
 from pathlib import Path
 
@@ -111,6 +112,7 @@ class ExperimentConfig:
             raise ConfigError("dgp must be a dict with a 'kind' entry")
         if not isinstance(self.train, TrainConfig):
             raise ConfigError("train must be a TrainConfig or a dict of its fields")
+        replace(self.train, alpha=self.alpha, beta=self.beta)  # TrainConfig checks the weights
         if self.architecture not in (*ARCHITECTURES, ARCH_ORACLE):
             raise ConfigError(f"unknown architecture {self.architecture!r}")
         if self.architecture == "nednet" and self.treg:
@@ -312,6 +314,12 @@ def _oracle_model(dataset: Dataset) -> FittedModel:
     return FittedModel.from_values(dataset.X, dataset.mu0, dataset.mu1, dataset.g_true)
 
 
+def _subsample_rate(rate) -> float:
+    if not 0.0 < float(rate) <= 1.0:
+        raise ConfigError(f"subsample rate must be in (0, 1], got {rate}")
+    return float(rate)
+
+
 def run_replication(
     config: ExperimentConfig,
     replication: int,
@@ -330,8 +338,7 @@ def run_replication(
     )
     dataset = make_dataset(config.dgp, data_rng, replication)
     if subsample_rate is not None:
-        if not 0.0 < subsample_rate <= 1.0:
-            raise ConfigError(f"subsample rate must be in (0, 1], got {subsample_rate}")
+        subsample_rate = _subsample_rate(subsample_rate)
         k = int(round(subsample_rate * dataset.n))
         if k < MIN_SUBSAMPLE_ROWS:
             raise ConfigError(
@@ -451,23 +458,27 @@ def summarize(
     return SummaryTable(rows=tuple(rows))
 
 
-def _run_all_replications(
-    config: ExperimentConfig, subsample_rate=None, bounds_list=None
-) -> list[list[RunResult]]:
-    reps = range(config.replications)
-    if config.workers == 1:
-        return [run_replication(config, r, subsample_rate, bounds_list) for r in reps]
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        futures = [pool.submit(run_replication, config, r, subsample_rate, bounds_list)
-                   for r in reps]
-        return [fut.result() for fut in futures]
+def _run_all_replications(workers: int, jobs, bounds_list=None) -> list[list[tuple]]:
+    """Run every replication of each (config, subsample_rate) job; returns, per
+    job and per trim level of `bounds_list` (default: the config's trim), the
+    runs in replication order.  With workers > 1 all tasks share one pool."""
+    tasks = [(cfg, r, rate, bounds_list) for cfg, rate in jobs for r in range(cfg.replications)]
+    if workers == 1:
+        done = [run_replication(*task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(run_replication, *task) for task in tasks]
+            try:
+                done = [fut.result() for fut in futures]
+            finally:  # after a task error, the tasks not yet started never start
+                for fut in futures:
+                    fut.cancel()
+    done = iter(done)
+    return [list(zip(*islice(done, cfg.replications))) for cfg, _ in jobs]
 
 
-def run_experiment(
-    config: ExperimentConfig, subsample_rate: "float | None" = None
-) -> ExperimentResult:
-    per_rep = _run_all_replications(config, subsample_rate)
-    runs = tuple(lists[0] for lists in per_rep)
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    [[runs]] = _run_all_replications(config.workers, [(config, None)])
     return ExperimentResult(config=config, runs=runs)
 
 
@@ -476,21 +487,15 @@ def compare_methods(method_errors, baseline_errors) -> ImprovementStats:
     a = np.asarray(method_errors, dtype=np.float64)
     b = np.asarray(baseline_errors, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
-        raise ConfigError(
-            f"error lists must be aligned 1-d sequences, got {a.shape} vs {b.shape}"
-        )
+        raise ConfigError(f"error lists must be aligned 1-d sequences, got {a.shape} vs {b.shape}")
     if a.size == 0:
         raise ConfigError("no pairs to compare")
     improved = a < b
     degraded = a > b
     up = float(np.mean(b[improved] - a[improved])) if improved.any() else 0.0
     down = float(np.mean(a[degraded] - b[degraded])) if degraded.any() else 0.0
-    return ImprovementStats(
-        pct_improved=100.0 * float(improved.mean()),
-        up_avg=up,
-        down_avg=down,
-        n_pairs=int(a.size),
-    )
+    return ImprovementStats(pct_improved=100.0 * float(improved.mean()), up_avg=up,
+                            down_avg=down, n_pairs=int(a.size))
 
 
 def paired_headline_errors(
@@ -526,10 +531,10 @@ def run_grid(
     labels = [m[0] for m in methods]
     if baseline not in labels:
         raise ConfigError(f"baseline {baseline!r} is not in the method grid {labels}")
-    results = {}
-    for label, arch, treg in methods:
-        cfg = replace(config, architecture=arch, treg=treg)
-        results[label] = run_experiment(cfg)
+    configs = [replace(config, architecture=arch, treg=treg) for _, arch, treg in methods]
+    per_method = _run_all_replications(config.workers, [(cfg, None) for cfg in configs])
+    results = {label: ExperimentResult(cfg, runs)
+               for label, cfg, [runs] in zip(labels, configs, per_method)}
     comparisons = {}
     base_result = results[baseline]
     for label in labels:
@@ -545,10 +550,12 @@ def subsample_sweep(config: ExperimentConfig, rates) -> dict[float, ExperimentRe
     Subset selection uses a dedicated per-replication stream: one
     permutation is drawn and rate r keeps its first round(r * n) entries
     (sorted), so smaller rates are subsets of larger ones and rate 1.0
-    reproduces run_experiment exactly.  `run_replication` rejects a rate
-    outside (0, 1].
+    reproduces run_experiment exactly.  Each rate is checked to lie in
+    (0, 1] before any replication runs.
     """
-    return {float(r): run_experiment(config, subsample_rate=float(r)) for r in rates}
+    rates = list(dict.fromkeys(_subsample_rate(r) for r in rates))  # a repeated rate runs once
+    per_rate = _run_all_replications(config.workers, [(config, r) for r in rates])
+    return {r: ExperimentResult(config, runs) for r, [runs] in zip(rates, per_rate)}
 
 
 def truncation_sweep(
@@ -562,9 +569,9 @@ def truncation_sweep(
     config's `trim`, before any replication runs.
     """
     configs = [replace(config, trim=level) for level in levels]
-    per_rep = _run_all_replications(config, bounds_list=tuple(c.trim for c in configs))
-    return {c.trim: ExperimentResult(c, tuple(lists[i] for lists in per_rep))
-            for i, c in enumerate(configs)}
+    [per_level] = _run_all_replications(
+        config.workers, [(config, None)], tuple(c.trim for c in configs))
+    return {c.trim: ExperimentResult(c, runs) for c, runs in zip(configs, per_level)}
 
 
 # --- reporting ---------------------------------------------------------------

@@ -97,9 +97,10 @@ class TrainConfig:
     @config_values("train config")
     def __post_init__(self):
         check_bools(self)
-        if self.alpha < 0 or self.beta < 0:
-            raise ConfigError(f"alpha and beta must be >= 0, got {self.alpha}, {self.beta}")
-        if self.learning_rate <= 0:
+        for name in ("alpha", "beta", "learning_rate"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if self.learning_rate == 0:
             raise ConfigError("learning_rate must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")

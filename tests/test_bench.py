@@ -5,6 +5,7 @@ under test, not estimation quality.
 """
 
 import json
+from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
 
@@ -96,6 +97,13 @@ def test_config_validation():
 def test_config_rejects_a_bad_split_when_built(split, match):
     with pytest.raises(ConfigError, match=match):
         tiny_config(split=split)
+
+
+@pytest.mark.parametrize("field, value", [("alpha", -1.0), ("alpha", float("nan")),
+                                          ("beta", -1.0), ("beta", float("inf"))])
+def test_config_checks_the_training_weights_when_built(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be finite and >= 0"):
+        tiny_config(**{field: value})
 
 
 def test_config_roundtrip():
@@ -489,6 +497,105 @@ def test_parallel_execution_matches_serial():
     for a, b in zip(serial.runs, parallel.runs):
         assert strip_wall_time(a) == strip_wall_time(b)
     assert serial.summary == parallel.summary
+
+
+def test_grid_and_subsample_sweep_on_two_workers_match_serial():
+    serial, parallel = (tiny_config(replications=2, workers=w) for w in (1, 2))
+    methods = (("tarnet", "tarnet", False), ("dragonnet+treg", "dragonnet", True))
+    pairs = [(run_grid(serial, methods).results, run_grid(parallel, methods).results),
+             (subsample_sweep(serial, [0.5, 1.0]), subsample_sweep(parallel, [0.5, 1.0]))]
+    for a, b in pairs:
+        assert list(a) == list(b)
+        for key in a:
+            assert list(map(strip_wall_time, a[key].runs)) == list(map(strip_wall_time, b[key].runs))
+
+
+class _LazyFuture(Future):
+    """Runs its task when its result is asked for, unless it was cancelled."""
+
+    def __init__(self, task):
+        super().__init__()
+        self.task = task
+
+    def run(self):
+        if not self.done() and self.set_running_or_notify_cancel():
+            try:
+                self.set_result(self.task())
+            except Exception as err:
+                self.set_exception(err)
+
+    def result(self, timeout=None):
+        self.run()
+        return super().result(timeout)
+
+
+class _LazyPool:
+    """Stands in for ProcessPoolExecutor and counts itself in `opened`.  Like a
+    real pool, leaving it runs every task that was not cancelled."""
+
+    opened = 0
+
+    def __init__(self, max_workers):
+        type(self).opened += 1
+        self.futures = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        for fut in self.futures:
+            fut.run()
+        return False
+
+    def submit(self, fn, *args):
+        self.futures.append(_LazyFuture(lambda: fn(*args)))
+        return self.futures[-1]
+
+
+def _log_replications(monkeypatch, fail_first=False) -> list:
+    """Log (method, replication) of each run_replication call as it starts."""
+    log = []
+    real = bench.run_replication
+
+    def logged(config, replication, *args):
+        log.append((config.method_label, replication))
+        if fail_first and len(log) == 1:
+            raise ConfigError("the first task fails")
+        return real(config, replication, *args)
+
+    monkeypatch.setattr(bench, "run_replication", logged)
+    return log
+
+
+def test_a_grid_runs_every_task_through_one_pool(monkeypatch):
+    monkeypatch.setattr(_LazyPool, "opened", 0)
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", _LazyPool)
+    log = _log_replications(monkeypatch)
+    grid = run_grid(tiny_config(replications=2, workers=2))
+    assert _LazyPool.opened == 1
+    assert log == [(label, r) for label in grid.results for r in (0, 1)]
+
+
+def test_a_grid_task_error_cancels_the_tasks_not_yet_started(monkeypatch):
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", _LazyPool)
+    log = _log_replications(monkeypatch, fail_first=True)
+    with pytest.raises(ConfigError, match="the first task fails"):
+        run_grid(tiny_config(replications=2, workers=2))
+    assert log == [("tarnet", 0)]
+
+
+def test_subsample_sweep_runs_a_repeated_rate_once(monkeypatch):
+    log = _log_replications(monkeypatch)
+    sweep = subsample_sweep(tiny_config(replications=2), [1.0, 1, 1.0])
+    assert list(sweep) == [1.0]
+    assert log == [("dragonnet", 0), ("dragonnet", 1)]
+
+
+def test_subsample_sweep_checks_every_rate_before_any_replication(monkeypatch):
+    log = _log_replications(monkeypatch)
+    with pytest.raises(ConfigError, match="1.5"):
+        subsample_sweep(tiny_config(), [1.0, 1.5])
+    assert log == []
 
 
 # --- reports --------------------------------------------------------------------

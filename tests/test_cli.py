@@ -150,6 +150,14 @@ def test_ingestion_errors_exit_with_code_two(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_a_config_with_a_nan_weight_exits_with_code_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, alpha=float("nan"))
+    assert '"alpha": NaN' in Path(cfg).read_text()
+    rc = main(["bench", "--config", cfg])
+    assert rc == 2
+    assert "alpha must be finite" in capsys.readouterr().err
+
+
 def test_config_typo_exits_with_code_two(tmp_path, capsys):
     cfg = write_config(tmp_path, train={**TINY_TRAIN, "epoch": 2})
     rc = main(["bench", "--config", cfg])

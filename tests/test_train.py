@@ -347,6 +347,13 @@ def test_config_validation():
         TrainConfig(h_clip=0.6)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["alpha", "beta", "learning_rate"])
+def test_non_finite_training_weights_are_config_errors(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+        TrainConfig(**{field: value})
+
+
 def test_config_typo_names_the_unknown_key():
     with pytest.raises(ConfigError, match="epoch$"):
         TrainConfig.from_dict({"epoch": 3, "seed": 1})
