@@ -12,10 +12,23 @@ backward closure, so value-only forwards pay for the value alone.
 
 Gradients are exact for the supported primitives, not numerical
 approximations.  Everything is float64.
+
+Hot path: a minibatch step of a narrow network is mostly per-node Python
+and small-array numpy calls, not arithmetic.  So graph nodes are built
+without re-validating values that are float64 arrays already, `mean`,
+`clip` and the gradient sums call the ufunc that numpy's wrappers end in
+(`np.add.reduce`, `ndarray.clip`), and every primitive keeps numpy's
+operation order: values and gradients stay bit-identical.
+`tests/test_autodiff.py` checks each rewritten primitive against its old
+form (the `*_bit_identical_*` tests and
+`test_topo_keeps_the_depth_first_order_of_the_pair_stack`), and
+`test_minibatch_gradients_match_the_v1_fixture` in `tests/test_train.py`
+pins one minibatch's loss and gradients per architecture.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,30 +43,38 @@ SIGMOID_CLAMP = 1e-12
 
 
 def _value(x) -> Array:
-    if isinstance(x, Var):
+    if type(x) is Var:
         return x.value
     return np.asarray(x, dtype=np.float64)
 
 
 def _unbroadcast(grad: Array, shape: tuple) -> Array:
-    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
-    grad = np.asarray(grad, dtype=np.float64)
+    """Sum `grad` (a float64 array or numpy scalar) down to `shape`, undoing
+    numpy broadcasting."""
     if grad.shape == shape:
         return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        grad = np.add.reduce(grad, axis=tuple(range(extra)))
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
     if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
+        grad = np.add.reduce(grad, axis=axes, keepdims=True)
     return grad.reshape(shape)
 
 
 def _node(value: Array, *links):
-    parents = tuple((v, fn) for v, fn in links if isinstance(v, Var))
+    """A Var over `value` with the Var operands among `links`, (operand, vjp)
+    pairs, as parents; `value` itself when no operand is a Var."""
+    parents = []
+    for link in links:
+        if type(link[0]) is Var:
+            parents.append(link)
     if not parents:
         return value
-    return Var(value, parents)
+    node = Var.__new__(Var)  # value is float64 already; a numpy scalar becomes 0-d
+    node.value = value if type(value) is np.ndarray else np.asarray(value, dtype=np.float64)
+    node._parents = parents
+    return node
 
 
 class Var:
@@ -162,19 +183,16 @@ def linear(x, weights, bias):
         out,
         (x, lambda g: g @ wv),
         (weights, lambda g: g.T @ xv),
-        (bias, lambda g: g.sum(axis=0)),
+        (bias, lambda g: np.add.reduce(g, axis=0)),
     )
 
 
 def stable_sigmoid(z: Array) -> Array:
     """sigmoid(z) computed without overflow, clamped into (0, 1)."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return np.clip(out, SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP)
+    e = np.exp(-np.abs(z))  # exp(-z) where z >= 0, exp(z) elsewhere
+    out = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return out.clip(SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP)
 
 
 def sigmoid(a):
@@ -200,13 +218,13 @@ def elu(a):
 def clip(a, lo: float, hi: float):
     """Clamp values into [lo, hi].  Gradient is 1 inside the band, 0 outside."""
     av = _value(a)
-    return _node(np.clip(av, lo, hi), (a, lambda g: g * ((av >= lo) & (av <= hi))))
+    return _node(av.clip(lo, hi), (a, lambda g: g * ((av >= lo) & (av <= hi))))
 
 
 def reshape(a, shape):
     av = _value(a)
     orig = av.shape
-    return _node(av.reshape(shape), (a, lambda g: np.asarray(g).reshape(orig)))
+    return _node(av.reshape(shape), (a, lambda g: g.reshape(orig)))
 
 
 def vsum(a):
@@ -217,27 +235,30 @@ def vsum(a):
 def mean(a):
     av = _value(a)
     return _node(
-        np.mean(av),
+        np.add.reduce(av, axis=None) / av.size,  # np.mean's own arithmetic
         (a, lambda g: np.full(av.shape, g / av.size, dtype=np.float64)),
     )
 
 
 def _topo(root: Var) -> list[Var]:
+    """`root` and every node between it and the leaves, each after all of its
+    parents: the depth-first post-order that visits parents last to first.
+    Leaves are left out; the backward pass has nothing to do at them."""
     order: list[Var] = []
-    seen: set[int] = set()
-    stack: list[tuple[Var, bool]] = [(root, False)]
+    seen: set[Var] = set()
+    stack: list = [root]
+    push, pop = stack.append, stack.pop
     while stack:
-        node, done = stack.pop()
-        if done:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent, _ in node._parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
+        node = pop()
+        if node is None:  # every parent of the node below the marker is done
+            order.append(pop())
+        elif node not in seen:
+            seen.add(node)
+            push(node)
+            push(None)
+            for parent, _ in node._parents:
+                if parent._parents and parent not in seen:
+                    push(parent)
     return order
 
 
@@ -251,27 +272,22 @@ def gradients(
     depend on get an exact zero gradient.  Raises NumericError if the loss
     comes out non-finite.
     """
-    vs = [Var(np.asarray(p, dtype=np.float64)) for p in params]
+    vs = [Var(p) for p in params]
     out = loss_fn(vs)
     raw = np.asarray(_value(out))
     if raw.ndim != 0:
         raise ShapeError(f"loss must be scalar, got shape {raw.shape}")
     value = float(raw)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise NumericError(f"loss evaluated to a non-finite value: {value!r}", value)
-    grads: dict[int, Array] = {}
-    if isinstance(out, Var):  # else the loss never touched a Var: every gradient is zero
-        grads[id(out)] = np.ones((), dtype=np.float64)
+    # Every vjp returns its operand's shape, as a float64 array or numpy scalar.
+    grads: dict[Var, Array] = {}
+    if type(out) is Var:  # else the loss never touched a Var: every gradient is zero
+        grads[out] = np.ones((), dtype=np.float64)
         for node in reversed(_topo(out)):
-            g = grads.get(id(node))
-            if g is None:
-                continue
+            g = grads[node]
             for parent, vjp in node._parents:
                 contribution = vjp(g)
-                prev = grads.get(id(parent))
-                if prev is None:
-                    grads[id(parent)] = np.asarray(contribution, dtype=np.float64)
-                else:
-                    grads[id(parent)] = prev + contribution
-    return value, [np.zeros_like(v.value) if id(v) not in grads
-                   else np.asarray(grads[id(v)]).reshape(v.value.shape) for v in vs]
+                prev = grads.get(parent)
+                grads[parent] = contribution if prev is None else prev + contribution
+    return value, [np.asarray(grads[v]) if v in grads else np.zeros_like(v.value) for v in vs]

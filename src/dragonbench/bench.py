@@ -314,6 +314,7 @@ def _oracle_model(dataset: Dataset) -> FittedModel:
     return FittedModel.from_values(dataset.X, dataset.mu0, dataset.mu1, dataset.g_true)
 
 
+@config_values("subsample rate")
 def _subsample_rate(rate) -> float:
     if not 0.0 < float(rate) <= 1.0:
         raise ConfigError(f"subsample rate must be in (0, 1], got {rate}")
@@ -566,12 +567,12 @@ def truncation_sweep(
     Each replication trains once; the trimming/estimation stage reruns per
     level.  A level that trims away every row is recorded per run in
     `estimation_errors` rather than raising.  Each level is checked, as a
-    config's `trim`, before any replication runs.
+    config's `trim`, before any replication runs, and a repeated level runs
+    once.
     """
-    configs = [replace(config, trim=level) for level in levels]
-    [per_level] = _run_all_replications(
-        config.workers, [(config, None)], tuple(c.trim for c in configs))
-    return {c.trim: ExperimentResult(c, runs) for c, runs in zip(configs, per_level)}
+    configs = {c.trim: c for c in (replace(config, trim=level) for level in levels)}
+    [per_level] = _run_all_replications(config.workers, [(config, None)], tuple(configs))
+    return {trim: ExperimentResult(c, runs) for (trim, c), runs in zip(configs.items(), per_level)}
 
 
 # --- reporting ---------------------------------------------------------------

@@ -193,9 +193,9 @@ def _cmd_bench(args) -> int:
 def _cmd_sweep_subsample(args) -> int:
     cfg = _load_config(args)
     sweep = subsample_sweep(cfg, args.rates)
-    for rate in args.rates:
+    for rate, result in sweep.items():
         print(f"rate {rate}:")
-        print(format_summary(sweep[rate]))
+        print(format_summary(result))
         print()
     if args.out_dir:
         paths = emit_sweep_report(sweep, args.out_dir, "subsample")

@@ -225,9 +225,9 @@ def _sgd_loop(
         return _weighted_total(terms(*(a[idx] for a in train), vs), alpha, beta)
 
     def sgd_epoch(epoch):
-        perm = order_rng.permutation(n_rows)
+        order = batch_rows[order_rng.permutation(n_rows)]
         for start in range(0, n_rows, cfg.batch_size):
-            idx = batch_rows[perm[start : start + cfg.batch_size]]
+            idx = order[start : start + cfg.batch_size]
             try:
                 _, grads = ad.gradients(leaves, lambda vs: batch_loss(vs, idx))
             except NumericError as err:

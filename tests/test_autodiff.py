@@ -135,24 +135,40 @@ def test_elu_value_and_gradient():
     np.testing.assert_allclose(grads[0], np.where(x > 0, 1.0, np.exp(x)), rtol=1e-12)
 
 
-def test_elu_is_bit_identical_to_the_two_branch_form():
-    rng = np.random.default_rng(29)
+def float_draws(seed: int) -> list[np.ndarray]:
+    """Signed zeros, subnormals, +-1e-300, +-700, +-inf and NaN, then (9, 7)
+    draws: raw uint64 bit patterns (every exponent, subnormals, NaNs, infs)
+    and normals at scales from 1e-20 to 1e3."""
+    rng = np.random.default_rng(seed)
     tiny = np.finfo(np.float64).tiny
     special = np.array(
         [0.0, -0.0, tiny, -tiny, tiny / 2**20, -tiny / 2**20, 5e-324, -5e-324,
-         -1e-300, 1e-300, -1e-17, 1e-17, -37.0, -800.0, 800.0,
+         -1e-300, 1e-300, -1e-17, 1e-17, -37.0, -700.0, 700.0, -800.0, 800.0,
          -np.inf, np.inf, np.nan]
     )
-    assert type(ad.elu(-0.5)) is np.ndarray
     draws = [special]
     for k in range(200):
         if k % 4 == 0:
-            # Arbitrary bit patterns: every exponent, subnormals, NaNs, infs.
             x = rng.integers(0, 2**64, size=(9, 7), dtype=np.uint64).view(np.float64)
         else:
             x = rng.normal(scale=10.0 ** rng.uniform(-20, 3), size=(9, 7))
         draws.append(x)
-    for x in draws:
+    return draws
+
+
+def assert_same_bits(got, want):
+    """Equal bit for bit (signed zeros included), except that NaN matches NaN."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def test_elu_is_bit_identical_to_the_two_branch_form():
+    rng = np.random.default_rng(29)
+    assert type(ad.elu(-0.5)) is np.ndarray
+    for x in float_draws(29):
         before = x.copy()
         ref = np.where(x > 0, x, np.expm1(np.minimum(x, 0)))
         ref_slope = np.where(x > 0, 1.0, ref + 1.0)
@@ -167,6 +183,79 @@ def test_elu_is_bit_identical_to_the_two_branch_form():
         g = vjp(weights)
         assert np.array_equal(g, weights * ref_slope, equal_nan=True)
         assert np.array_equal(x, before, equal_nan=True)
+
+
+def test_sigmoid_is_bit_identical_to_the_masked_form():
+    def masked(z):
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return np.clip(out, ad.SIGMOID_CLAMP, 1.0 - ad.SIGMOID_CLAMP)
+
+    for z in float_draws(31):
+        assert_same_bits(ad.stable_sigmoid(z), masked(z))
+        assert_same_bits(ad.sigmoid(z), masked(z))
+    assert_same_bits(ad.stable_sigmoid(-0.0), masked(np.array(-0.0)))
+
+
+@pytest.mark.parametrize("lo, hi", [(1e-12, 1.0 - 1e-12), (0.01, 0.99), (0.0, 1.0),
+                                    (-0.0, 0.0), (-1e-300, 5e-324), (-np.inf, np.inf)])
+def test_clip_is_bit_identical_to_np_clip(lo, hi):
+    for x in float_draws(37):
+        assert_same_bits(ad.clip(x, lo, hi), np.clip(x, lo, hi))
+        ((_, vjp),) = ad.clip(ad.Var(x), lo, hi)._parents
+        upstream = np.arange(x.size, dtype=np.float64).reshape(x.shape) - 3.5
+        assert_same_bits(vjp(upstream), upstream * ((x >= lo) & (x <= hi)))
+
+
+def test_mean_is_bit_identical_to_np_mean():
+    rng = np.random.default_rng(41)
+    shaped = [rng.normal(size=s) for s in [(64, 1), (1, 64), (7, 300), (300, 7), (33, 17)]]
+    shaped += [a.T for a in shaped] + [a[::2] for a in shaped]  # strided views too
+    flat = [rng.normal(loc=rng.uniform(-5, 5), scale=10.0 ** rng.uniform(-8, 8), size=n)
+            for n in range(1, 2001)]
+    for x in flat + shaped:
+        got, want = ad.mean(x), np.mean(x)
+        assert type(got) is type(want) and got.view(np.uint64) == want.view(np.uint64)
+
+
+def test_bias_and_broadcast_reductions_are_bit_identical_to_the_sum_method():
+    rng = np.random.default_rng(43)
+    for rows, cols in [(1, 1), (64, 32), (470, 200), (5, 3)]:
+        g = rng.normal(size=(rows, cols))
+        ((_, _), (_, _), (_, bias_vjp)) = ad.linear(
+            ad.Var(rng.normal(size=(rows, 4))), ad.Var(np.ones((cols, 4))), ad.Var(np.zeros(cols))
+        )._parents
+        assert_same_bits(bias_vjp(g), g.sum(axis=0))
+        assert_same_bits(ad._unbroadcast(g, ()), g.sum(axis=(0, 1)).reshape(()))
+        assert_same_bits(ad._unbroadcast(g, (cols,)), g.sum(axis=0))
+        assert_same_bits(ad._unbroadcast(g, (1, cols)), g.sum(axis=0, keepdims=True))
+        assert_same_bits(ad._unbroadcast(g, (rows, 1)), g.sum(axis=1, keepdims=True))
+
+
+def test_topo_keeps_the_depth_first_order_of_the_pair_stack():
+    def pair_stack_order(root):  # the order the backward pass used to accumulate in
+        order, seen, stack = [], set(), [(root, False)]
+        while stack:
+            node, done = stack.pop()
+            if done:
+                order.append(node)
+            elif id(node) not in seen:
+                seen.add(id(node))
+                stack.append((node, True))
+                stack.extend((p, False) for p, _ in node._parents if id(p) not in seen)
+        return [node for node in order if node._parents]
+
+    rng = np.random.default_rng(47)
+    for _ in range(50):
+        pool = [ad.Var(rng.normal(size=3)) for _ in range(3)]
+        for _ in range(int(rng.integers(5, 40))):  # shared subexpressions, reused leaves
+            a, b = (pool[int(i)] for i in rng.integers(0, len(pool), size=2))
+            op = [ad.add, ad.sub, ad.mul, lambda a, b: ad.elu(a), lambda a, b: ad.mean(a) * b]
+            pool.append(op[int(rng.integers(0, len(op)))](a, b))
+        assert ad._topo(pool[-1]) == pair_stack_order(pool[-1])
 
 
 def test_sigmoid_extreme_inputs_stay_in_open_interval():

@@ -424,6 +424,13 @@ def _record_calls(monkeypatch, name: str) -> list:
     return log
 
 
+def test_truncation_sweep_estimates_a_repeated_level_once(monkeypatch):
+    estimates = _record_calls(monkeypatch, "apply_estimators")
+    sweep = truncation_sweep(tiny_config(replications=1), [(0.01, 0.99), (0.01, 0.99), (0.1, 0.9)])
+    assert list(sweep) == [(0.01, 0.99), (0.1, 0.9)]
+    assert len(estimates) == 6  # 2 levels x 3 scopes (all, in, out)
+
+
 def test_truncation_sweep_reports_equal_estimators_on_a_fresh_prediction(monkeypatch):
     # Each report must equal the array estimators applied to one direct
     # predict on its scope's kept rows.  Slicing those rows out of a
@@ -595,6 +602,14 @@ def test_subsample_sweep_checks_every_rate_before_any_replication(monkeypatch):
     log = _log_replications(monkeypatch)
     with pytest.raises(ConfigError, match="1.5"):
         subsample_sweep(tiny_config(), [1.0, 1.5])
+    assert log == []
+
+
+@pytest.mark.parametrize("rate", ["x", None])
+def test_a_malformed_subsample_rate_is_a_config_error(monkeypatch, rate):
+    log = _log_replications(monkeypatch)
+    with pytest.raises(ConfigError, match="malformed subsample rate"):
+        subsample_sweep(tiny_config(), [1.0, rate])
     assert log == []
 
 

@@ -121,6 +121,14 @@ def test_sweep_subsample(tmp_path, capsys):
     assert "rate 0.5" in capsys.readouterr().out
 
 
+def test_sweep_subsample_prints_a_repeated_rate_once(tmp_path, capsys):
+    cfg = write_config(tmp_path, dgp={"kind": "lin", "n": 150, "p": 3, "tau": 1.0},
+                       replications=1)
+    rc = main(["sweep-subsample", "--config", cfg, "--rates", "0.5,0.5"])
+    assert rc == 0
+    assert capsys.readouterr().out.count("rate 0.5:") == 1
+
+
 def test_sweep_trim(tmp_path, capsys):
     cfg = write_config(tmp_path, replications=1)
     rc = main(["sweep-trim", "--config", cfg, "--levels", "0.01:0.99,0.1:0.9"])

@@ -11,19 +11,32 @@ import os
 import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dragonbench.autodiff as ad
 from dragonbench.datagen import Dataset, gen_dgp_lin
 from dragonbench.errors import ConfigError, TrainingDivergedError
 from dragonbench.estimators import apply_estimators, propensity_accuracy
-from dragonbench.models import build_predictors, init_network, load_checkpoint, save_checkpoint
-from dragonbench.objectives import select_observed, stationary_epsilon
+from dragonbench.models import (
+    ARCH_NEDNET,
+    STACKS,
+    build_predictors,
+    init_network,
+    load_checkpoint,
+    save_checkpoint,
+)
+from dragonbench.nn import apply_stack
+from dragonbench.objectives import cross_entropy_term, select_observed, stationary_epsilon
 from dragonbench.train import (
+    NEDNET_WEIGHTS,
     TrainConfig,
     _child_rngs,
+    _composite_terms,
     _spare_core,
+    _weighted_total,
     config_digest,
     train_architecture,
     train_dragonnet,
@@ -364,3 +377,55 @@ def test_config_typo_names_the_unknown_key():
 def test_wrongly_typed_train_config_is_a_config_error(field, value):
     with pytest.raises(ConfigError, match="malformed"):
         TrainConfig(**{field: value})
+
+
+GRADIENTS_V1 = Path(__file__).parent / "data" / "minibatch_gradients_v1.json"
+GRADIENT_CASES = [("tarnet", 0.0), ("tarnet", 1.0), ("dragonnet", 0.0), ("dragonnet", 1.0),
+                  ("nednet", 0.0)]
+
+
+def minibatch_gradients(arch: str, beta: float) -> tuple[float, list[np.ndarray]]:
+    """Loss and every leaf's gradient of the trainer's objective on one seeded
+    64-row minibatch at (8,)/(4,) widths: the joint objective, or nednet's
+    phase 1 (shared stack and propensity on cross-entropy)."""
+    data = gen_dgp_lin(n=200, p=5, tau=1.0, confounding_strength=1.0, noise_sd=1.0,
+                       rng=np.random.default_rng(17))
+    cfg = TrainConfig(beta=beta, shared_widths=(8,), outcome_widths=(4,))
+    scaler = Scaler.fit(data.X, data.y)
+    rows = np.random.default_rng(18).permutation(data.n)[:64]
+    x, y = scaler.transform_x(data.X)[rows], scaler.transform_y(data.y)[rows]
+    t = data.t.astype(np.float64)[rows]
+    net = init_network(np.random.default_rng(19), data.p, cfg.shared_widths,
+                       cfg.outcome_widths, arch)
+    net.epsilon[...] = 0.25
+    if arch != ARCH_NEDNET:
+        return ad.gradients(net.leaves(), lambda vs: _weighted_total(
+            _composite_terms(net, x, y, t, vs, cfg), cfg.alpha, cfg.beta))
+    stacks = ("shared", "propensity")
+
+    def phase1(vs):
+        pairs = net.pairs(vs, stacks)
+        z = apply_stack(net.shared, x, pairs["shared"])
+        return _weighted_total((0.0, cross_entropy_term(net.g(x, z, pairs), t), 0.0),
+                               *NEDNET_WEIGHTS)
+
+    return ad.gradients(net.leaves(stacks), phase1)
+
+
+@pytest.mark.parametrize("arch, beta", GRADIENT_CASES)
+def test_minibatch_gradients_match_the_v1_fixture(arch, beta):
+    # written before the autodiff hot path was reworked: the engine's output
+    # must not move by one bit
+    stored = json.loads(GRADIENTS_V1.read_text())[f"{arch}/beta={beta:g}"]
+    loss, grads = minibatch_gradients(arch, beta)
+    assert loss == stored["loss"]
+    assert len(grads) == len(stored["gradients"])
+    for got, want in zip(grads, stored["gradients"]):
+        assert np.array_equal(got, np.array(want))
+
+
+if __name__ == "__main__":  # rewrite the gradient fixture, only for an intended numeric change
+    GRADIENTS_V1.write_text(json.dumps({
+        f"{arch}/beta={beta:g}": {"loss": loss, "gradients": [g.tolist() for g in grads]}
+        for arch, beta in GRADIENT_CASES for loss, grads in [minibatch_gradients(arch, beta)]
+    }, indent=1) + "\n")
