@@ -330,7 +330,8 @@ def run_replication(
     """Run one replication; returns one RunResult per trim level.
 
     `bounds_list` defaults to (config.trim,).  Training happens once; only
-    the trimming/estimation stage repeats per level.
+    the trimming/estimation stage repeats per level.  `wall_time` covers
+    the draw and the fit, not prediction or estimation.
     """
     levels = tuple(bounds_list) if bounds_list else (config.trim,)
     started = time.perf_counter()
@@ -348,87 +349,58 @@ def run_replication(
         perm = sub_rng.permutation(dataset.n)
         dataset = dataset.subset(np.sort(perm[:k]))
     idx = split(dataset, SplitSpec(*config.split, seed=split_seed))
+    diverged = None
+    if config.architecture == ARCH_ORACLE:
+        model = _oracle_model(dataset)
+    else:
+        try:
+            model = train_architecture(
+                config.architecture,
+                dataset.subset(idx.train),
+                config.effective_train_config(),
+                rng=train_rng,
+                val_data=dataset.subset(idx.validation) if idx.validation.size else None,
+            )
+        except TrainingDivergedError as err:
+            model, diverged = None, str(err)
+    wall = time.perf_counter() - started
+
     scopes = _scope_indices(dataset.n, idx)
     truth = dataset.ground_truth()
-    label = config.method_label
-
-    def finished(model: "FittedModel | None", diverged: "str | None") -> list[RunResult]:
-        wall = time.perf_counter() - started
-        out = []
-        t_float = dataset.t.astype(np.float64)
-        if model is not None:
-            held = scopes.get("out")
-            if held is None or held.size == 0:
-                held = idx.validation if idx.validation.size else np.arange(dataset.n)
-            Xh, th, yh = dataset.X[held], t_float[held], dataset.y[held]
-            q0h, q1h, gh = model.predict(Xh)
-            heldout_mse = float(np.mean((select_observed(q0h, q1h, th) - yh) ** 2))
-            heldout_acc = propensity_accuracy(gh, th)
-            flagged = overlap_flag(heldout_acc)
-        else:
-            heldout_mse = heldout_acc = None
-            flagged = False
-        both_groups = 0 < dataset.t.sum() < dataset.n
-        dim = diff_in_means(t_float, dataset.y) if both_groups else None
-        dim_err = abs(dim - truth) if (dim is not None and truth is not None) else None
-        for bounds in levels:
-            reports: dict = {}
-            errors: dict = {}
-            abs_errors: dict = {}
-            if model is not None:
-                for scope, rows in scopes.items():
-                    try:
-                        by_tag = apply_estimators(
-                            model,
-                            dataset.X[rows],
-                            t_float[rows],
-                            dataset.y[rows],
-                            bounds,
-                            config.estimator_tags(),
-                        )
-                    except EstimationError as err:
-                        errors[scope] = str(err)
-                        continue
-                    reports[scope] = by_tag
-                    if truth is not None:
-                        abs_errors[scope] = {
-                            tag: abs(rep.psi_hat - truth) for tag, rep in by_tag.items()
-                        }
-            out.append(
-                RunResult(
-                    replication=replication,
-                    method=label,
-                    trim_bounds=bounds,
-                    truth=truth,
-                    reports=reports,
-                    abs_errors=abs_errors,
-                    estimation_errors=errors,
-                    dim=dim,
-                    dim_abs_error=dim_err,
-                    heldout_mse=heldout_mse,
-                    heldout_accuracy=heldout_acc,
-                    overlap=flagged,
-                    diverged=diverged,
-                    wall_time=wall,
-                )
-            )
-        return out
-
-    if config.architecture == ARCH_ORACLE:
-        return finished(_oracle_model(dataset), None)
-    train_data = dataset.subset(idx.train)
-    val_data = dataset.subset(idx.validation) if idx.validation.size else None
-    try:
-        model = train_architecture(
-            config.architecture,
-            train_data,
-            config.effective_train_config(),
-            rng=train_rng,
-            val_data=val_data,
-        )
-    except TrainingDivergedError as err:
-        return finished(None, str(err))
-    return finished(model, None)
+    t_float = dataset.t.astype(np.float64)
+    heldout_mse = heldout_acc = None
+    if model is None:
+        scopes = {}  # a diverged fit estimates nothing
+    else:
+        held = scopes.get("out", idx.validation if idx.validation.size else scopes[SUMMARY_SCOPE])
+        q0h, q1h, gh = model.predict(dataset.X[held])
+        th = t_float[held]
+        heldout_mse = float(np.mean((select_observed(q0h, q1h, th) - dataset.y[held]) ** 2))
+        heldout_acc = propensity_accuracy(gh, th)
+    dim = diff_in_means(t_float, dataset.y) if 0 < dataset.t.sum() < dataset.n else None
+    shared = dict(  # the RunResult fields every trim level has in common
+        replication=replication, method=config.method_label, truth=truth, dim=dim,
+        dim_abs_error=None if dim is None or truth is None else abs(dim - truth),
+        heldout_mse=heldout_mse, heldout_accuracy=heldout_acc,
+        overlap=heldout_acc is not None and overlap_flag(heldout_acc),
+        diverged=diverged, wall_time=wall,
+    )
+    runs = []
+    for bounds in levels:
+        reports, errors = {}, {}
+        for scope, rows in scopes.items():
+            try:
+                reports[scope] = apply_estimators(model, dataset.X[rows], t_float[rows],
+                                                  dataset.y[rows], bounds, config.estimator_tags())
+            except EstimationError as err:
+                errors[scope] = str(err)
+        abs_errors = {} if truth is None else {
+            scope: {tag: abs(rep.psi_hat - truth) for tag, rep in by_tag.items()}
+            for scope, by_tag in reports.items()
+        }
+        runs.append(RunResult(trim_bounds=bounds, reports=reports, abs_errors=abs_errors,
+                              estimation_errors=errors, **shared))
+    return runs
 
 
 def summarize(

@@ -152,9 +152,12 @@ def _cmd_train(args) -> int:
     model = train_architecture(args.arch, dataset, cfg)
     save_checkpoint(model, args.out)
     trace = model.metadata["train_loss_trace"]
-    last = trace[-1]
-    print(f"epochs run: {len(trace)} (best {model.metadata['best_epoch']})")
-    print(f"final training loss: total={last['total']:.6f} outcome={last['outcome']:.6f} xent={last['xent']:.6f}")
+    if trace:
+        last = trace[-1]
+        print(f"epochs run: {len(trace)} (best {model.metadata['best_epoch']})")
+        print(f"final training loss: total={last['total']:.6f} outcome={last['outcome']:.6f} xent={last['xent']:.6f}")
+    else:
+        print("epochs run: 0")
     if model.treg:
         print(f"epsilon_hat: {model.epsilon_hat:.6g}")
     print(f"checkpoint written to {args.out}")

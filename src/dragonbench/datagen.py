@@ -185,8 +185,8 @@ def gen_dgp_irrelevant(
     that an outcome-driven representation must spend units on, while the
     confounding structure stays fixed.
     """
-    if p_confound < 1:
-        raise ConfigError("p_confound must be >= 1")
+    if n < 1 or p_confound < 1:
+        raise ConfigError(f"need n >= 1 and p_confound >= 1, got n={n}, p_confound={p_confound}")
     if p_outcome_only < 0:
         raise ConfigError("p_outcome_only must be >= 0")
     p = p_confound + p_outcome_only

@@ -153,10 +153,7 @@ class SgdMomentum:
 
     @classmethod
     def for_params(cls, params: Sequence[np.ndarray], learning_rate: float, momentum: float):
-        if learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {learning_rate}")
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0, 1), got {momentum}")
+        """Zero velocities for `params`; TrainConfig has checked both rates."""
         return cls(learning_rate, momentum, [np.zeros_like(p) for p in params])
 
 

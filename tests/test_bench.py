@@ -33,7 +33,7 @@ from dragonbench.bench import (
     truncation_sweep,
 )
 from dragonbench.datagen import lin_true_propensity, write_csv
-from dragonbench.errors import ConfigError
+from dragonbench.errors import ConfigError, TrainingDivergedError
 from dragonbench.estimators import (
     ESTIMATOR_TAGS,
     EstimateReport,
@@ -489,6 +489,29 @@ def test_heldout_metrics_take_one_prediction(monkeypatch):
     run = run_replication(tiny_config(), 0)[0]
     assert len(calls) == 1
     assert run.heldout_mse is not None and run.heldout_accuracy is not None
+
+
+def test_a_diverged_fit_records_every_level_without_estimating(monkeypatch):
+    levels = ((0.01, 0.99), (0.1, 0.9))
+    fitted = run_replication(tiny_config(), 0, bounds_list=levels)
+
+    def diverge(*args, **kwargs):
+        raise TrainingDivergedError(1, "total", float("nan"))
+
+    monkeypatch.setattr(bench, "train_architecture", diverge)
+    estimates = _record_calls(monkeypatch, "apply_estimators")
+    runs = run_replication(tiny_config(), 0, bounds_list=levels)
+    assert [r.trim_bounds for r in runs] == list(levels)
+    assert estimates == []
+    for run, ref in zip(runs, fitted):
+        assert run.diverged == "training diverged at epoch 1: total became nan"
+        assert run.reports == run.abs_errors == run.estimation_errors == {}
+        assert run.heldout_mse is None and run.heldout_accuracy is None
+        assert run.overlap is False
+        assert run.truth == ref.truth == pytest.approx(1.0)
+        assert run.dim is not None and run.dim_abs_error is not None
+        assert (run.dim, run.dim_abs_error) == (ref.dim, ref.dim_abs_error)
+        assert not run.usable()
 
 
 def test_truncation_levels_validated():

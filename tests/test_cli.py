@@ -66,6 +66,19 @@ def test_train_then_estimate(tmp_path, capsys):
         assert "abs_err" in r  # generated data carries ground truth
 
 
+def test_train_for_zero_epochs_reports_no_loss(tmp_path, capsys):
+    data_path, ckpt = tmp_path / "d.csv", tmp_path / "m.json"
+    main(["generate", "--dgp", '{"kind": "lin", "n": 40, "p": 2}',
+          "--seed", "1", "--out", str(data_path)])
+    capsys.readouterr()
+    rc = main(["train", "--data", str(data_path), "--epochs", "0", "--out", str(ckpt)])
+    assert rc == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "epochs run: 0"
+    assert not any(line.startswith("final training loss") for line in out)
+    assert out[-1] == f"checkpoint written to {ckpt}"
+
+
 def test_estimate_subset_of_estimators(tmp_path, capsys):
     data_path = tmp_path / "d.csv"
     main(["generate", "--dgp", '{"kind": "lin", "n": 60, "p": 2}',
@@ -191,7 +204,11 @@ def test_generate_with_a_missing_dgp_key_exits_with_code_two(tmp_path, capsys):
     assert "needs the key 'n'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("dgp", ['{"kind": "lin"', "[1]"], ids=["not-json", "not-an-object"])
+@pytest.mark.parametrize(
+    "dgp",
+    ['{"kind": "lin"', "[1]", '{"kind": "irrelevant", "n": -5, "p_confound": 2, "p_outcome_only": 1}'],
+    ids=["not-json", "not-an-object", "negative-n"],
+)
 def test_generate_with_a_malformed_dgp_exits_with_code_two(tmp_path, capsys, dgp):
     rc = main(["generate", "--dgp", dgp, "--out", str(tmp_path / "d.csv")])
     assert rc == 2

@@ -77,6 +77,13 @@ def test_irrelevant_zero_extra_columns_allowed():
     assert data.p == 3
 
 
+@pytest.mark.parametrize("n", [0, -5])
+def test_irrelevant_rejects_fewer_than_one_row(n):
+    with pytest.raises(ConfigError, match=f"need n >= 1 and p_confound >= 1, got n={n}"):
+        gen_dgp_irrelevant(n=n, p_confound=2, p_outcome_only=1, tau=1.0,
+                           rng=np.random.default_rng(0))
+
+
 def test_ihdp_like_hits_target_sample_ate_exactly():
     data = gen_dgp_ihdp_like(n=747, p=25, rng=np.random.default_rng(7))
     assert data.sample_ate == pytest.approx(4.0, abs=1e-12)

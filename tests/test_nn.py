@@ -5,6 +5,7 @@ import pytest
 
 import dragonbench.nn as nn
 from dragonbench.errors import ConfigError, NumericError, ShapeError
+from dragonbench.train import TrainConfig
 
 
 def test_init_shapes_and_zero_bias():
@@ -89,11 +90,17 @@ def test_sgd_updates_in_place():
 
 
 def test_sgd_config_validation():
-    params = [np.zeros(1)]
-    with pytest.raises(ConfigError):
-        nn.SgdMomentum.for_params(params, learning_rate=0.0, momentum=0.0)
-    with pytest.raises(ConfigError):
-        nn.SgdMomentum.for_params(params, learning_rate=0.1, momentum=1.0)
+    # The rates reach SgdMomentum only through TrainConfig, which refuses bad ones.
+    with pytest.raises(ConfigError, match="learning_rate must be positive"):
+        TrainConfig(learning_rate=0.0)
+    with pytest.raises(ConfigError, match=r"momentum must be in \[0, 1\)"):
+        TrainConfig(momentum=1.0)
+    cfg = TrainConfig(learning_rate=0.1, momentum=0.0)
+    params = [np.ones((2, 3)), np.ones(3)]
+    state = nn.SgdMomentum.for_params(params, cfg.learning_rate, cfg.momentum)
+    assert (state.learning_rate, state.momentum) == (0.1, 0.0)
+    assert [v.shape for v in state.velocities] == [(2, 3), (3,)]
+    assert all(not v.any() for v in state.velocities)
 
 
 def test_init_is_deterministic_per_seed():

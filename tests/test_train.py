@@ -354,6 +354,10 @@ def test_config_roundtrip_and_digest():
 def test_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(learning_rate=-1.0)
+    with pytest.raises(ConfigError, match="learning_rate must be positive"):
+        TrainConfig(learning_rate=0.0)
+    with pytest.raises(ConfigError, match=r"momentum must be in \[0, 1\), got 1.0"):
+        TrainConfig(momentum=1.0)
     with pytest.raises(ConfigError):
         TrainConfig(val_fraction=0.9)
     with pytest.raises(ConfigError):
