@@ -9,9 +9,9 @@ execute serially or in a process pool.  Wall-clock time is recorded per
 run but is the one field excluded from determinism claims.
 
 Absolute errors are measured against the dataset's sample average effect
-(mean(mu1 - mu0)) when the generating process provides it, else against
-the configured population effect.  Estimates are computed over three row
-scopes: "in" (train plus validation), "out" (test) and "all"; summary
+(mean(mu1 - mu0)); data without mu0/mu1 (a CSV without those columns) has
+no truth, so its runs record no errors.  Estimates are computed over three
+row scopes: "in" (train plus validation), "out" (test) and "all"; summary
 tables aggregate the "all" scope.  Replications whose heldout treatment
 accuracy exceeds 0.90 are flagged as near-overlap-violations and excluded
 from summaries while staying in the raw results.
@@ -89,7 +89,9 @@ class ExperimentConfig:
     dgp kinds: {"kind": "lin", n, p, tau, confounding_strength, noise_sd},
     {"kind": "irrelevant", n, p_confound, p_outcome_only, tau, ...},
     {"kind": "ihdp_like", n, p, ...} and {"kind": "csv", "paths": [...]}
-    where replication i reads paths[i].
+    where replication i reads paths[i].  The objective weights are `alpha`
+    and `beta`, not `train`'s, and `treg` needs beta > 0 and a trained
+    architecture; TREG among `estimators` needs `treg`.
     """
 
     dgp: dict
@@ -112,11 +114,16 @@ class ExperimentConfig:
             raise ConfigError("dgp must be a dict with a 'kind' entry")
         if not isinstance(self.train, TrainConfig):
             raise ConfigError("train must be a TrainConfig or a dict of its fields")
+        if (self.train.alpha, self.train.beta) != (TrainConfig.alpha, TrainConfig.beta):
+            raise ConfigError("train alpha and beta are not used: set alpha and beta at the "
+                              "top level of the experiment config")
         replace(self.train, alpha=self.alpha, beta=self.beta)  # TrainConfig checks the weights
         if self.architecture not in (*ARCHITECTURES, ARCH_ORACLE):
             raise ConfigError(f"unknown architecture {self.architecture!r}")
-        if self.architecture == "nednet" and self.treg:
-            raise ConfigError("nednet does not take the targeted-regularization term")
+        if self.treg and self.architecture in ("nednet", ARCH_ORACLE):
+            raise ConfigError(f"{self.architecture} does not take the targeted-regularization term")
+        if self.treg and self.beta == 0:
+            raise ConfigError("treg needs beta > 0")
         if index(self.replications) < 1:
             raise ConfigError("replications must be >= 1")
         if index(self.base_seed) < 0:
@@ -135,6 +142,8 @@ class ExperimentConfig:
             unknown = set(self.estimators) - set(ESTIMATOR_TAGS)
             if unknown:
                 raise ConfigError(f"unknown estimator tags {sorted(unknown)}")
+            if TAG_TREG in self.estimators and not self.treg:
+                raise ConfigError("estimator TREG needs treg = true")
 
     @property
     def method_label(self) -> str:
@@ -152,9 +161,6 @@ class ExperimentConfig:
         return replace(
             self.train, alpha=self.alpha, beta=self.beta if self.treg else 0.0
         )
-
-    def to_dict(self) -> dict:
-        return plain(self)
 
     @classmethod
     @config_values("experiment config")
@@ -185,7 +191,7 @@ class RunResult:
     diverged: "str | None"
     wall_time: float
 
-    def to_dict(self) -> dict:
+    def to_dict(self) -> dict:  # the benchmark under perfbench/ calls this name
         return plain(self)
 
     @classmethod
@@ -254,8 +260,8 @@ def make_dataset(dgp: dict, rng: np.random.Generator, replication: int) -> Datas
 
     A generator kind takes its generator's parameters, bar `rng`, as keys,
     with the defaults of DGP_GENERATORS or else of the generator; a missing,
-    malformed or unknown key is a ConfigError that names it, and so is a
-    `dgp` that is not a dict.
+    malformed or unknown key, or a float one that is not finite, is a
+    ConfigError that names it, and so is a `dgp` that is not a dict.
     """
     if not isinstance(dgp, dict):
         raise ConfigError(f"dgp must be a JSON object, got {type(dgp).__name__}")
@@ -282,6 +288,8 @@ def make_dataset(dgp: dict, rng: np.random.Generator, replication: int) -> Datas
         if name in spec:
             with config_values(f"{kind} dgp key {name!r}"):
                 kwargs[name] = param.annotation(spec[name])
+            if param.annotation is float and not np.isfinite(kwargs[name]):
+                raise ConfigError(f"{kind} dgp key {name!r} is not finite: {spec[name]!r}")
         elif param.default is param.empty:
             raise ConfigError(f"{kind} dgp needs the key {name!r}")
     return generator(rng=rng, **kwargs)
@@ -366,7 +374,7 @@ def run_replication(
     wall = time.perf_counter() - started
 
     scopes = _scope_indices(dataset.n, idx)
-    truth = dataset.ground_truth()
+    truth = dataset.sample_ate
     t_float = dataset.t.astype(np.float64)
     heldout_mse = heldout_acc = None
     if model is None:

@@ -34,7 +34,7 @@ from .datagen import load_csv, write_csv
 from .errors import PACKAGE_ERRORS, ConfigError
 from .estimators import apply_estimators
 from .models import ARCHITECTURES, load_checkpoint, save_checkpoint
-from .schema import config_values
+from .schema import config_values, plain
 from .train import TrainConfig, train_architecture
 
 
@@ -171,9 +171,9 @@ def _cmd_estimate(args) -> int:
     reports = apply_estimators(
         model, dataset.X, dataset.t.astype(np.float64), dataset.y, args.trim, tags
     )
-    truth = dataset.ground_truth()
+    truth = dataset.sample_ate
     for tag, report in reports.items():
-        line = report.to_dict()
+        line = plain(report)
         if truth is not None:
             line["abs_err"] = abs(report.psi_hat - truth)
         print(json.dumps(line))

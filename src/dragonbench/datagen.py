@@ -24,7 +24,6 @@ class Dataset:
 
     mu0/mu1 are the noiseless potential-outcome means and g_true the true
     propensity when known (synthetic data), None for observational files.
-    true_ate is the population effect when the generator knows it.
     """
 
     X: np.ndarray
@@ -32,7 +31,6 @@ class Dataset:
     y: np.ndarray
     mu0: np.ndarray | None = None
     mu1: np.ndarray | None = None
-    true_ate: float | None = None
     g_true: np.ndarray | None = None
 
     def __post_init__(self):
@@ -76,10 +74,6 @@ class Dataset:
             return None
         return float(np.mean(self.mu1 - self.mu0))
 
-    def ground_truth(self) -> float | None:
-        """Reference effect for scoring: sample_ate if available, else true_ate."""
-        return self.sample_ate if self.mu0 is not None else self.true_ate
-
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.intp)
         return Dataset(
@@ -88,7 +82,6 @@ class Dataset:
             y=self.y[idx],
             mu0=None if self.mu0 is None else self.mu0[idx],
             mu1=None if self.mu1 is None else self.mu1[idx],
-            true_ate=self.true_ate,
             g_true=None if self.g_true is None else self.g_true[idx],
         )
 
@@ -141,13 +134,12 @@ def gen_dgp_lin(
     t = (rng.random(n) < g).astype(np.int64)
     f = lin_base_outcome(X)
     y = tau * t + f + noise_sd * rng.standard_normal(n)
-    return Dataset(X=X, t=t, y=y, mu0=f, mu1=f + tau, true_ate=float(tau), g_true=g)
+    return Dataset(X=X, t=t, y=y, mu0=f, mu1=f + tau, g_true=g)
 
 
 # --- DGP with outcome-only covariates -------------------------------------
 
 IRRELEVANT_CONFOUNDING = 1.5
-IRRELEVANT_OUTCOME_SCALE = 1.0
 IRRELEVANT_BEND = 1.5
 IRRELEVANT_EXTRA_BEND = 2.2
 IRRELEVANT_PROP_BEND = 2.7
@@ -161,7 +153,6 @@ def gen_dgp_irrelevant(
     tau: float,
     rng: np.random.Generator,
     confounding_strength: float = IRRELEVANT_CONFOUNDING,
-    outcome_scale: float = IRRELEVANT_OUTCOME_SCALE,
     noise_sd: float = 1.0,
 ) -> Dataset:
     """Confounders plus covariates that only move the outcome.
@@ -179,7 +170,7 @@ def gen_dgp_irrelevant(
         w(x) = sum_{j < p_confound} sin(PROP_BEND * x_j) / sqrt(p_confound)
         v(x) = sum_{outcome-only j} sin(EXTRA_BEND * x_j) + 0.5 * x_j
         g(x) = sigmoid(confounding_strength * (u + PROP_WEIGHT * w))
-        y    = tau * t + u + outcome_scale * v + noise_sd * N(0, 1)
+        y    = tau * t + u + v + noise_sd * N(0, 1)
 
     Growing p_outcome_only therefore adds treatment-irrelevant outcome signal
     that an outcome-driven representation must spend units on, while the
@@ -189,6 +180,8 @@ def gen_dgp_irrelevant(
         raise ConfigError(f"need n >= 1 and p_confound >= 1, got n={n}, p_confound={p_confound}")
     if p_outcome_only < 0:
         raise ConfigError("p_outcome_only must be >= 0")
+    if noise_sd < 0:
+        raise ConfigError(f"noise_sd must be >= 0, got {noise_sd}")
     p = p_confound + p_outcome_only
     X = rng.standard_normal((n, p))
 
@@ -202,9 +195,9 @@ def gen_dgp_irrelevant(
     t = (rng.random(n) < g).astype(np.int64)
     v = (bent(X[:, p_confound:], IRRELEVANT_EXTRA_BEND)
          if p_outcome_only > 0 else np.zeros(n))
-    f = u + outcome_scale * v
+    f = u + v
     y = tau * t + f + noise_sd * rng.standard_normal(n)
-    return Dataset(X=X, t=t, y=y, mu0=f, mu1=f + tau, true_ate=float(tau), g_true=g)
+    return Dataset(X=X, t=t, y=y, mu0=f, mu1=f + tau, g_true=g)
 
 
 # --- semi-synthetic nonlinear DGP ------------------------------------------
@@ -243,6 +236,8 @@ def gen_dgp_ihdp_like(
     """
     if n < 1 or p < 1:
         raise ConfigError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
+    if noise_sd < 0:
+        raise ConfigError(f"noise_sd must be >= 0, got {noise_sd}")
     X = rng.standard_normal((n, p))
     beta = rng.choice(IHDP_LIKE_COEFS, size=p, p=IHDP_LIKE_COEF_PROBS)
     xb = X @ beta
@@ -256,7 +251,7 @@ def gen_dgp_ihdp_like(
     y0 = mu0 + noise_sd * rng.standard_normal(n)
     y1 = mu1 + noise_sd * rng.standard_normal(n)
     y = np.where(t == 1, y1, y0)
-    return Dataset(X=X, t=t, y=y, mu0=mu0, mu1=mu1, true_ate=None, g_true=g)
+    return Dataset(X=X, t=t, y=y, mu0=mu0, mu1=mu1, g_true=g)
 
 
 # --- CSV ingestion ----------------------------------------------------------

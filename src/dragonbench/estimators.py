@@ -33,7 +33,7 @@ from .objectives import (
     select_observed,
     stationary_epsilon,
 )
-from .schema import check_keys, config_values, plain
+from .schema import check_keys, config_values
 
 OVERLAP_ACCURACY_THRESHOLD = 0.90
 
@@ -71,9 +71,6 @@ class EstimateReport:
     mean_phi: float
     dropped_low: int
     dropped_high: int
-
-    def to_dict(self) -> dict:
-        return plain(self)
 
     @classmethod
     @config_values("estimate report")

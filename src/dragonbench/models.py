@@ -216,13 +216,11 @@ class FittedModel:
 
     @classmethod
     def from_functions(
-        cls, q0, q1, g, epsilon_hat: float = 0.0, treg: bool = False, metadata: dict | None = None
+        cls, q0, q1, g, epsilon_hat: float = 0.0, treg: bool = False
     ) -> "FittedModel":
-        meta = {"architecture": "functions", "treg": treg}
-        if metadata:
-            meta.update(metadata)
         predict = lambda X: (q0(X), q1(X), g(X))
-        return cls(predict=predict, epsilon_hat=float(epsilon_hat), metadata=meta)
+        return cls(predict=predict, epsilon_hat=float(epsilon_hat),
+                   metadata={"architecture": "functions", "treg": treg})
 
     @classmethod
     def from_values(
@@ -231,12 +229,12 @@ class FittedModel:
         q0_values: np.ndarray,
         q1_values: np.ndarray,
         g_values: np.ndarray,
-        epsilon_hat: float = 0.0,
     ) -> "FittedModel":
         """Row-lookup oracle: predictions are tabulated for the rows of X.
 
         Queries with rows not present in X raise UsageError.  Used for
-        oracle benchmarking where true mu0/mu1 and g are known per row.
+        oracle benchmarking where true mu0/mu1 and g are known per row; it
+        has no trained fluctuation: epsilon_hat is 0 and treg False.
         """
         X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
         table = {X[i].tobytes(): i for i in range(X.shape[0])}
@@ -254,8 +252,8 @@ class FittedModel:
 
         return cls(
             predict=predict,
-            epsilon_hat=float(epsilon_hat),
-            metadata={"architecture": "oracle", "treg": float(epsilon_hat) != 0.0},
+            epsilon_hat=0.0,
+            metadata={"architecture": "oracle", "treg": False},
         )
 
 

@@ -17,9 +17,9 @@ unique minimizer has the closed form implemented by
 mean[H(t_i, g_i) * (y_i - Q~_i)] = 0 holds, which is what ties the trained
 epsilon to the plug-in estimate downstream.
 
-The `*_term` helpers accept autodiff Vars as well as plain arrays, so one
-set of terms serves training and reporting; `LossBreakdown.weighted`
-records their values and weighted total.  `stationary_epsilon` is the
+The `*_term` helpers and `weighted_total` accept autodiff Vars as well as
+plain arrays, so one set of terms and one total serve training and
+reporting (`LossBreakdown.weighted`).  `stationary_epsilon` is the
 plain-array entry point with full input validation.
 """
 
@@ -31,7 +31,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import NumericDomainError, NumericError, ShapeError
-from .schema import plain
 
 # Cross-entropy clamp: keeps log() finite without touching values that are
 # already well inside (0, 1).  Estimator-level trimming is a separate,
@@ -41,7 +40,7 @@ XENT_CLAMP = 1e-12
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Loss components; `total` is exactly outcome + alpha*xent + beta*treg."""
+    """Loss components; `total` is their `weighted_total`."""
 
     outcome: float
     xent: float
@@ -51,11 +50,16 @@ class LossBreakdown:
     @classmethod
     def weighted(cls, outcome, xent, treg, alpha: float, beta: float) -> "LossBreakdown":
         """The terms as floats, with their total under the weights (alpha, beta)."""
-        outcome, xent, treg = float(outcome), float(xent), float(treg)
-        return cls(outcome, xent, treg, outcome + alpha * xent + beta * treg)
+        terms = float(outcome), float(xent), float(treg)
+        return cls(*terms, float(weighted_total(terms, alpha, beta)))
 
-    def to_dict(self) -> dict:
-        return plain(self)
+
+def weighted_total(terms, alpha: float, beta: float):
+    """outcome + alpha * xent (+ beta * treg when beta > 0) of the terms
+    (outcome, xent, treg), on Vars or floats."""
+    outcome, xent, treg = terms
+    total = ad.add(outcome, alpha * xent)
+    return ad.add(total, beta * treg) if beta > 0 else total
 
 
 def _as_1d(name: str, x) -> np.ndarray:

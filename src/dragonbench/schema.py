@@ -1,9 +1,9 @@
 """The JSON shape of configs and results, derived from their dataclass fields.
 
-`plain` is the one dataclass -> JSON mapping: every `to_dict` is
-`plain(self)`, so a config's, a result's or a checkpoint section's JSON
-keys are its field names in declaration order.  In the other direction `check_keys`,
-`check_bools` and `config_values` turn malformed input into ConfigError.
+`plain` is the one dataclass -> JSON mapping, so a config's, a result's or
+a checkpoint section's JSON keys are its field names in declaration order.
+In the other direction `check_keys`, `check_bools` and `config_values` turn
+malformed input into ConfigError.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def config_values(where: str):
         yield
     except (ConfigError, ShapeError):
         raise
-    except (AttributeError, LookupError, TypeError, ValueError) as err:
+    except (AttributeError, LookupError, OverflowError, TypeError, ValueError) as err:
         detail = f"missing {err}" if isinstance(err, KeyError) else err
         raise ConfigError(f"malformed {where}: {detail}") from err
 

@@ -58,6 +58,7 @@ from .objectives import (
     squared_error_term,
     stationary_epsilon,
     treg_term,
+    weighted_total,
 )
 from .schema import check_bools, check_keys, config_values, plain
 
@@ -123,9 +124,6 @@ class TrainConfig:
         if any(index(w) < 1 for w in (*self.shared_widths, *self.outcome_widths)):
             raise ConfigError("layer widths must be positive")
 
-    def to_dict(self) -> dict:
-        return plain(self)
-
     @classmethod
     @config_values("train config")
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -134,7 +132,7 @@ class TrainConfig:
 
 
 def config_digest(cfg: TrainConfig) -> str:
-    payload = json.dumps(cfg.to_dict(), sort_keys=True)
+    payload = json.dumps(plain(cfg), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -161,15 +159,8 @@ def _composite_terms(net: ThreeHeadNet, x, y, t, leaves, cfg: TrainConfig):
     return outcome, xent, treg
 
 
-def _weighted_total(terms, alpha: float, beta: float):
-    """outcome + alpha * xent (+ beta * treg when beta > 0), on Vars or arrays."""
-    outcome, xent, treg = terms
-    total = ad.add(outcome, alpha * xent)
-    return ad.add(total, beta * treg) if beta > 0 else total
-
-
 def _check_finite(breakdown: LossBreakdown, epoch: int):
-    for term, value in breakdown.to_dict().items():
+    for term, value in plain(breakdown).items():
         if not np.isfinite(value):
             raise TrainingDivergedError(epoch, term, value)
 
@@ -222,7 +213,7 @@ def _sgd_loop(
         return LossBreakdown.weighted(*terms(x, y, t, params), alpha, beta)
 
     def batch_loss(vs, idx):
-        return _weighted_total(terms(*(a[idx] for a in train), vs), alpha, beta)
+        return weighted_total(terms(*(a[idx] for a in train), vs), alpha, beta)
 
     def sgd_epoch(epoch):
         order = batch_rows[order_rng.permutation(n_rows)]
@@ -378,7 +369,7 @@ def _fitted(arch: str, net: ThreeHeadNet, scaler: Scaler, cfg: TrainConfig, **me
     digest = config_digest(cfg)
     meta = {"architecture": arch, "treg": treg, "alpha": cfg.alpha, "beta": cfg.beta,
             "config_digest": digest, **meta}
-    payload = make_payload(arch, net, scaler, epsilon_hat, treg, digest, cfg.to_dict())
+    payload = make_payload(arch, net, scaler, epsilon_hat, treg, digest, plain(cfg))
     return FittedModel(predict=build_predictors(net, scaler), epsilon_hat=epsilon_hat,
                        metadata=meta, payload=payload)
 

@@ -30,7 +30,8 @@ from dragonbench.estimators import (
     psi_treg,
 )
 from dragonbench.models import FittedModel, init_network
-from dragonbench.train import TrainConfig, _composite_terms, _weighted_total, train_dragonnet
+from dragonbench.objectives import weighted_total
+from dragonbench.train import TrainConfig, _composite_terms, train_dragonnet
 
 pytestmark = pytest.mark.acceptance
 
@@ -63,7 +64,7 @@ def _random_setup(arch: str, rng):
 
 def _objective(params, X, y, t, cfg, leaves=None):
     terms = _composite_terms(params, X, y, t, leaves, cfg)
-    return _weighted_total(terms, cfg.alpha, cfg.beta)
+    return weighted_total(terms, cfg.alpha, cfg.beta)
 
 
 def _fd_coordinate(params, X, y, t, cfg, leaf, j):
@@ -194,12 +195,12 @@ def test_criterion_3_known_ate_recovery():
 def test_criterion_4_double_robustness():
     """With the true g and Q == 0, the corrected estimators recover tau while
     the plug-in misses by exactly tau."""
-    data = gen_dgp_lin(5000, 10, 1.0, 1.0, 1.0, np.random.default_rng(9))
+    tau = 1.0
+    data = gen_dgp_lin(5000, 10, tau, 1.0, 1.0, np.random.default_rng(9))
     zero = lambda X: np.zeros(X.shape[0])
     model = FittedModel.from_functions(
         q0=zero, q1=zero, g=lambda X: lin_true_propensity(X, 1.0)
     )
-    tau = data.true_ate
 
     q0, q1, g = model.predict(data.X)
     psi_plug = psi_q(q0, q1)

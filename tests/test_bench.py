@@ -45,6 +45,7 @@ from dragonbench.estimators import (
     trim,
 )
 from dragonbench.models import FittedModel
+from dragonbench.schema import plain
 from dragonbench.train import TrainConfig
 
 DATA = Path(__file__).parent / "data"
@@ -106,14 +107,33 @@ def test_config_checks_the_training_weights_when_built(field, value):
         tiny_config(**{field: value})
 
 
+@pytest.mark.parametrize("overrides, match", [
+    ({"treg": True, "beta": 0.0}, "treg needs beta > 0"),
+    ({"treg": True, "architecture": "oracle"}, "oracle does not take the targeted"),
+    ({"estimators": ("Q", "TREG")}, "estimator TREG needs treg"),
+], ids=["beta-zero", "oracle", "treg-estimator-without-treg"])
+def test_config_refuses_targeted_regularization_that_cannot_run(overrides, match):
+    with pytest.raises(ConfigError, match=match):
+        tiny_config(**overrides)
+
+
+@pytest.mark.parametrize("weights", [{"alpha": 5.0}, {"beta": 1.0}])
+def test_config_refuses_weights_set_inside_train(weights):
+    with pytest.raises(ConfigError, match="set alpha and beta at the top level"):
+        tiny_config(train=replace(TINY_TRAIN, **weights))
+    with pytest.raises(ConfigError, match="set alpha and beta at the top level"):
+        ExperimentConfig.from_dict({**plain(tiny_config()),
+                                    "train": {**plain(TINY_TRAIN), **weights}})
+
+
 def test_config_roundtrip():
     cfg = tiny_config(treg=True, estimators=("TREG", "TMLE"), workers=2)
-    again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    again = ExperimentConfig.from_dict(json.loads(json.dumps(plain(cfg))))
     assert again == cfg
 
 
 def test_config_typos_name_the_unknown_keys():
-    d = tiny_config().to_dict()
+    d = plain(tiny_config())
     with pytest.raises(ConfigError, match="replicatoins"):
         ExperimentConfig.from_dict({**d, "replicatoins": 2})
     with pytest.raises(ConfigError, match="epoch"):
@@ -134,7 +154,7 @@ WRONGLY_TYPED = {
 
 @pytest.mark.parametrize("case", WRONGLY_TYPED)
 def test_wrongly_typed_config_values_raise_config_error(case):
-    d = {**tiny_config().to_dict(), **WRONGLY_TYPED[case]}
+    d = {**plain(tiny_config()), **WRONGLY_TYPED[case]}
     with pytest.raises(ConfigError, match="malformed"):
         ExperimentConfig.from_dict({k: v for k, v in d.items() if v is not None})
 
@@ -176,7 +196,11 @@ def test_make_dataset_kinds():
     ({"kind": "irrelevant", "n": 40, "p_confound": 2}, "needs the key 'p_outcome_only'"),
     ({"kind": "lin", "n": 40, "p": 3, "noise": 1.0}, "unknown lin dgp keys: noise$"),
     ({"kind": "csv", "paths": ["a.csv"], "path": "a.csv"}, "unknown csv dgp keys: path$"),
-], ids=["missing", "malformed", "irrelevant-missing", "unknown", "csv-unknown"])
+    ({"kind": "lin", "n": 40, "p": 3, "tau": float("nan")}, "lin dgp key 'tau' is not finite"),
+    ({"kind": "ihdp_like", "target_sample_ate": "-inf"}, "key 'target_sample_ate' is not finite"),
+    ({"kind": "lin", "n": float("inf"), "p": 3}, "malformed lin dgp key 'n'"),
+], ids=["missing", "malformed", "irrelevant-missing", "unknown", "csv-unknown", "nan",
+        "infinite", "infinite-count"])
 def test_bad_dgp_keys_raise_config_error_naming_the_key(dgp, match):
     with pytest.raises(ConfigError, match=match):
         make_dataset(dgp, np.random.default_rng(0), 0)

@@ -206,13 +206,19 @@ def test_generate_with_a_missing_dgp_key_exits_with_code_two(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "dgp",
-    ['{"kind": "lin"', "[1]", '{"kind": "irrelevant", "n": -5, "p_confound": 2, "p_outcome_only": 1}'],
-    ids=["not-json", "not-an-object", "negative-n"],
+    ['{"kind": "lin"', "[1]", '{"kind": "irrelevant", "n": -5, "p_confound": 2, "p_outcome_only": 1}',
+     '{"kind": "lin", "n": 10, "p": 2, "tau": NaN}',
+     '{"kind": "lin", "n": 10, "p": 2, "confounding_strength": Infinity}',
+     '{"kind": "irrelevant", "n": 10, "p_confound": 2, "p_outcome_only": 1, "noise_sd": -1}',
+     '{"kind": "ihdp_like", "noise_sd": -1}'],
+    ids=["not-json", "not-an-object", "negative-n", "nan-tau", "infinite-confounding",
+         "irrelevant-negative-noise", "ihdp-negative-noise"],
 )
 def test_generate_with_a_malformed_dgp_exits_with_code_two(tmp_path, capsys, dgp):
     rc = main(["generate", "--dgp", dgp, "--out", str(tmp_path / "d.csv")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "d.csv").exists()
 
 
 @pytest.mark.parametrize("width", [1, 5])

@@ -36,8 +36,6 @@ def test_lin_noise_free_outcomes_are_exact():
 def test_lin_sample_ate_equals_tau_exactly():
     data = lin_data(tau=1.5)
     assert data.sample_ate == pytest.approx(1.5, abs=0)
-    assert data.true_ate == 1.5
-    assert data.ground_truth() == 1.5
 
 
 def test_lin_zero_confounding_gives_coin_flip_propensity():
@@ -82,6 +80,16 @@ def test_irrelevant_rejects_fewer_than_one_row(n):
     with pytest.raises(ConfigError, match=f"need n >= 1 and p_confound >= 1, got n={n}"):
         gen_dgp_irrelevant(n=n, p_confound=2, p_outcome_only=1, tau=1.0,
                            rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("generate", [
+    lambda noise_sd, rng: gen_dgp_lin(20, 2, 1.0, 1.0, noise_sd, rng),
+    lambda noise_sd, rng: gen_dgp_irrelevant(20, 2, 1, 1.0, rng, noise_sd=noise_sd),
+    lambda noise_sd, rng: gen_dgp_ihdp_like(20, 3, rng, noise_sd=noise_sd),
+], ids=["lin", "irrelevant", "ihdp_like"])
+def test_generators_reject_a_negative_noise_sd(generate):
+    with pytest.raises(ConfigError, match="noise_sd must be >= 0, got -1"):
+        generate(-1.0, np.random.default_rng(0))
 
 
 def test_ihdp_like_hits_target_sample_ate_exactly():
@@ -129,15 +137,11 @@ def test_subset_slices_all_fields():
     assert sub.n == 3
     np.testing.assert_array_equal(sub.X, data.X[[3, 5, 7]])
     np.testing.assert_array_equal(sub.mu1, data.mu1[[3, 5, 7]])
-    assert sub.true_ate == data.true_ate
 
 
-def test_ground_truth_prefers_sample_ate():
+def test_sample_ate_is_none_without_mu():
     data = lin_data()
-    assert data.ground_truth() == data.sample_ate
-    bare = Dataset(X=data.X, t=data.t, y=data.y, true_ate=9.0)
-    assert bare.ground_truth() == 9.0
-    assert bare.sample_ate is None
+    assert Dataset(X=data.X, t=data.t, y=data.y).sample_ate is None
 
 
 # --- csv ----------------------------------------------------------------------

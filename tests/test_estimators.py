@@ -27,11 +27,12 @@ from dragonbench.estimators import (
     trim,
 )
 from dragonbench.models import FittedModel
+from dragonbench.schema import plain
 
 
-def table_model(X, q0, q1, g, epsilon_hat=0.0):
+def table_model(X, q0, q1, g):
     return FittedModel.from_values(X, np.asarray(q0, float), np.asarray(q1, float),
-                                   np.asarray(g, float), epsilon_hat)
+                                   np.asarray(g, float))
 
 
 def test_psi_q_is_the_mean_contrast():
@@ -94,12 +95,11 @@ def test_psi_tmle_influence_mean_near_zero_random():
 def test_psi_treg_shifts_plug_in_by_trained_epsilon():
     # With g constant at 0.5, the update adds eps * (1/g + 1/(1-g)) = 4 eps.
     X = np.array([[0.0], [1.0], [2.0]])
-    model = table_model(X, q0=[0.0, 1.0, -1.0], q1=[1.0, 2.0, 0.0], g=[0.5] * 3,
-                        epsilon_hat=0.1)
+    model = table_model(X, q0=[0.0, 1.0, -1.0], q1=[1.0, 2.0, 0.0], g=[0.5] * 3)
     t = np.array([1.0, 0.0, 1.0])
     y = np.array([1.0, 1.0, 0.0])
     base = psi_q(*model.predict(X)[:2])
-    psi, _ = psi_treg(*model.predict(X), t, y, model.epsilon_hat)
+    psi, _ = psi_treg(*model.predict(X), t, y, 0.1)
     assert psi == pytest.approx(base + 0.4)
 
 
@@ -240,8 +240,9 @@ def test_apply_estimators_shares_one_trimmed_set():
 
 def test_apply_estimators_adds_treg_for_treg_models():
     X = np.array([[0.0], [1.0]])
-    model = table_model(X, [0.0, 0.0], [1.0, 1.0], [0.5, 0.5], epsilon_hat=0.05)
-    assert model.treg
+    model = FittedModel.from_functions(lambda X: np.zeros(len(X)), lambda X: np.ones(len(X)),
+                                       lambda X: np.full(len(X), 0.5), epsilon_hat=0.05,
+                                       treg=True)
     reports = apply_estimators(model, X, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
     assert set(reports) == {TAG_Q, TAG_AIPTW, TAG_TMLE, TAG_TREG}
 
@@ -292,15 +293,15 @@ def test_report_roundtrips_through_dict():
         estimator_tag=TAG_TMLE, psi_hat=1.25, n_used=90, trim_bounds=(0.01, 0.99),
         mean_phi=1e-9, dropped_low=3, dropped_high=7,
     )
-    again = EstimateReport.from_dict(report.to_dict())
+    again = EstimateReport.from_dict(plain(report))
     assert again == report
 
 
 def test_report_from_dict_names_a_missing_field():
-    d = EstimateReport(
+    d = plain(EstimateReport(
         estimator_tag=TAG_Q, psi_hat=1.0, n_used=10, trim_bounds=(0.01, 0.99),
         mean_phi=0.5, dropped_low=0, dropped_high=0,
-    ).to_dict()
+    ))
     del d["trim_bounds"]
     with pytest.raises(ConfigError, match="trim_bounds"):
         EstimateReport.from_dict(d)

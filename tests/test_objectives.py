@@ -3,7 +3,8 @@
 stationary_epsilon is checked three independent ways: a numeric scan of
 the penalty, the estimating equation it must zero, and the autodiff
 derivative of the full objective at that point.  Weighted totals go
-through `LossBreakdown.weighted`, as the training traces do.
+through `LossBreakdown.weighted`, as the training traces do, and it calls
+the `weighted_total` that the training graph uses.
 """
 
 import numpy as np
@@ -19,8 +20,9 @@ from dragonbench.objectives import (
     squared_error_term,
     stationary_epsilon,
     treg_term,
+    weighted_total,
 )
-from dragonbench.train import TrainConfig, _weighted_total
+from dragonbench.train import TrainConfig
 
 
 def objective(q_at_t, g, y, t, alpha=1.0, beta=0.0, epsilon=0.0) -> LossBreakdown:
@@ -119,9 +121,9 @@ def test_full_objective_totals_are_the_exact_sum():
     assert br.outcome == base.outcome
     assert br.xent == base.xent
     # the training graph's total is the same sum, bit for bit
-    terms = (br.outcome, br.xent, br.treg)
-    assert float(_weighted_total(terms, 0.7, 1.3)) == br.total
-    assert float(_weighted_total(terms, 0.7, 0.0)) == base.total
+    terms = tuple(ad.Var(v) for v in (br.outcome, br.xent, br.treg))
+    assert float(weighted_total(terms, 0.7, 1.3).value) == br.total
+    assert float(weighted_total(terms, 0.7, 0.0).value) == base.total
 
 
 def test_objective_is_permutation_invariant():

@@ -29,14 +29,19 @@ from dragonbench.models import (
     save_checkpoint,
 )
 from dragonbench.nn import apply_stack
-from dragonbench.objectives import cross_entropy_term, select_observed, stationary_epsilon
+from dragonbench.objectives import (
+    cross_entropy_term,
+    select_observed,
+    stationary_epsilon,
+    weighted_total,
+)
+from dragonbench.schema import plain
 from dragonbench.train import (
     NEDNET_WEIGHTS,
     TrainConfig,
     _child_rngs,
     _composite_terms,
     _spare_core,
-    _weighted_total,
     config_digest,
     train_architecture,
     train_dragonnet,
@@ -344,7 +349,7 @@ def test_dispatch_rejects_unknown_architecture():
 
 def test_config_roundtrip_and_digest():
     cfg = TrainConfig(alpha=0.5, beta=2.0, epochs=7, shared_widths=(3, 3), seed=9)
-    again = TrainConfig.from_dict(cfg.to_dict())
+    again = TrainConfig.from_dict(plain(cfg))
     assert again == cfg
     assert config_digest(cfg) == config_digest(again)
     assert len(config_digest(cfg)) == 16
@@ -403,15 +408,15 @@ def minibatch_gradients(arch: str, beta: float) -> tuple[float, list[np.ndarray]
                        cfg.outcome_widths, arch)
     net.epsilon[...] = 0.25
     if arch != ARCH_NEDNET:
-        return ad.gradients(net.leaves(), lambda vs: _weighted_total(
+        return ad.gradients(net.leaves(), lambda vs: weighted_total(
             _composite_terms(net, x, y, t, vs, cfg), cfg.alpha, cfg.beta))
     stacks = ("shared", "propensity")
 
     def phase1(vs):
         pairs = net.pairs(vs, stacks)
         z = apply_stack(net.shared, x, pairs["shared"])
-        return _weighted_total((0.0, cross_entropy_term(net.g(x, z, pairs), t), 0.0),
-                               *NEDNET_WEIGHTS)
+        return weighted_total((0.0, cross_entropy_term(net.g(x, z, pairs), t), 0.0),
+                              *NEDNET_WEIGHTS)
 
     return ad.gradients(net.leaves(stacks), phase1)
 
