@@ -230,7 +230,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except PACKAGE_ERRORS as err:
+    except (*PACKAGE_ERRORS, OSError) as err:  # OSError: a file that cannot be read or written
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -191,6 +192,8 @@ class FittedModel:
               predictions in original units, propensity scores in (0, 1)
     epsilon_hat : trained fluctuation scalar, in outcome units; 0.0 when
                   targeted regularization was off
+    build_payload : zero-argument function returning the checkpoint dict;
+                    None for oracle and function-backed models
 
     `q0`, `q1` and `g` each run a whole `predict` and keep one column; call
     `predict` once when more than one of them is needed.
@@ -199,7 +202,13 @@ class FittedModel:
     predict: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
     epsilon_hat: float
     metadata: dict
-    payload: dict | None = None
+    build_payload: Callable[[], dict] | None = None
+
+    @property
+    def payload(self) -> dict | None:
+        """The checkpoint dict, built afresh on every read (the weights stay
+        arrays until then); None when the model has no serializable parameters."""
+        return None if self.build_payload is None else self.build_payload()
 
     @property
     def treg(self) -> bool:
@@ -310,14 +319,16 @@ def save_checkpoint(model: FittedModel, path) -> None:
     JSON floats round-trip float64 exactly (shortest-repr encoding), so a
     reloaded model predicts bit-identically.
     """
-    if model.payload is None:
+    payload = model.payload
+    if payload is None:
         raise UsageError("this model has no serializable parameters (oracle or function-backed)")
-    Path(path).write_text(json.dumps(model.payload))
+    Path(path).write_text(json.dumps(payload))
 
 
 @config_values("checkpoint")
 def load_checkpoint(path) -> FittedModel:
-    """Rebuild a model from `save_checkpoint` output.
+    """Rebuild a model from `save_checkpoint` output.  Its `payload` parses
+    the file's text again on each read, so saving it writes the same bytes.
 
     A file that is not JSON, a missing section, a value that is not a number,
     a non-finite epsilon_hat, a scaler that `Scaler` rejects, a `treg` that
@@ -326,7 +337,8 @@ def load_checkpoint(path) -> FittedModel:
     ShapeError, and non-finite weights NumericError, at load time.
     """
     try:
-        obj = json.loads(Path(path).read_text())
+        text = Path(path).read_text()
+        obj = json.loads(text)
     except ValueError as err:
         raise ConfigError(f"{path} is not JSON: {err}") from err
     if not isinstance(obj, dict) or obj.get("format") != CHECKPOINT_FORMAT:
@@ -363,5 +375,5 @@ def load_checkpoint(path) -> FittedModel:
         epsilon_hat=epsilon_hat,
         metadata={"architecture": arch, "treg": obj["treg"],
                   "config_digest": obj["config_digest"]},
-        payload=obj,
+        build_payload=partial(json.loads, text),
     )

@@ -31,6 +31,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from operator import index
 
 import numpy as np
@@ -362,16 +363,16 @@ def _train(arch: str, data: Dataset, cfg: TrainConfig, rng, val_data) -> FittedM
 
 
 def _fitted(arch: str, net: ThreeHeadNet, scaler: Scaler, cfg: TrainConfig, **meta) -> FittedModel:
-    """The trained network with its scaler, metadata and checkpoint payload;
-    epsilon comes back in outcome units."""
+    """The trained network with its scaler and metadata; the checkpoint payload
+    is built only when read.  Epsilon comes back in outcome units."""
     epsilon_hat = float(net.epsilon) * scaler.y_std
     treg = cfg.beta > 0
     digest = config_digest(cfg)
     meta = {"architecture": arch, "treg": treg, "alpha": cfg.alpha, "beta": cfg.beta,
             "config_digest": digest, **meta}
-    payload = make_payload(arch, net, scaler, epsilon_hat, treg, digest, plain(cfg))
+    payload = partial(make_payload, arch, net, scaler, epsilon_hat, treg, digest, plain(cfg))
     return FittedModel(predict=build_predictors(net, scaler), epsilon_hat=epsilon_hat,
-                       metadata=meta, payload=payload)
+                       metadata=meta, build_payload=payload)
 
 
 def train_dragonnet(

@@ -199,8 +199,11 @@ def test_make_dataset_kinds():
     ({"kind": "lin", "n": 40, "p": 3, "tau": float("nan")}, "lin dgp key 'tau' is not finite"),
     ({"kind": "ihdp_like", "target_sample_ate": "-inf"}, "key 'target_sample_ate' is not finite"),
     ({"kind": "lin", "n": float("inf"), "p": 3}, "malformed lin dgp key 'n'"),
+    ({"kind": "csv", "paths": "B/d.csv"}, "csv dgp needs 'paths'"),
+    ({"kind": "csv", "paths": [3]}, "csv dgp needs 'paths'"),
+    ({"kind": "csv", "paths": []}, "csv dgp needs 'paths'"),
 ], ids=["missing", "malformed", "irrelevant-missing", "unknown", "csv-unknown", "nan",
-        "infinite", "infinite-count"])
+        "infinite", "infinite-count", "csv-paths-string", "csv-paths-number", "csv-paths-empty"])
 def test_bad_dgp_keys_raise_config_error_naming_the_key(dgp, match):
     with pytest.raises(ConfigError, match=match):
         make_dataset(dgp, np.random.default_rng(0), 0)
@@ -513,6 +516,30 @@ def test_heldout_metrics_take_one_prediction(monkeypatch):
     run = run_replication(tiny_config(), 0)[0]
     assert len(calls) == 1
     assert run.heldout_mse is not None and run.heldout_accuracy is not None
+
+
+def test_a_replication_predicts_each_row_set_once(monkeypatch):
+    # The scope rows are predicted once for both levels and the held-out
+    # diagnostics; only the level that trims rows predicts its kept rows.
+    predicted = []
+    real = bench.train_architecture
+
+    def counting_fit(*args, **kwargs):
+        model = real(*args, **kwargs)
+
+        def predict(X):
+            predicted.append(np.asarray(X).tobytes())
+            return model.predict(X)
+
+        return replace(model, predict=predict)
+
+    monkeypatch.setattr(bench, "train_architecture", counting_fit)
+    cfg = tiny_config(dgp={"kind": "lin", "n": 200, "p": 4, "tau": 1.0, "confounding_strength": 2.0})
+    keep_all, narrow = run_replication(cfg, 0, bounds_list=((0.0, 1.0), (0.4, 0.6)))
+    for scope in ("all", "in", "out"):
+        assert keep_all.reports[scope]["Q"].n_used > narrow.reports[scope]["Q"].n_used
+    assert len(predicted) == 6  # 3 scopes, then 3 kept-row sets at the narrow level
+    assert len(set(predicted)) == 6
 
 
 def test_a_diverged_fit_records_every_level_without_estimating(monkeypatch):

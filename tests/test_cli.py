@@ -221,6 +221,28 @@ def test_generate_with_a_malformed_dgp_exits_with_code_two(tmp_path, capsys, dgp
     assert not (tmp_path / "d.csv").exists()
 
 
+def test_a_csv_config_whose_paths_is_a_string_exits_with_code_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, architecture="oracle",
+                       dgp={"kind": "csv", "paths": str(tmp_path / "B" / "d.csv")})
+    rc = main(["bench", "--config", cfg])
+    assert rc == 2
+    assert "csv dgp needs 'paths'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, missing", [
+    (["estimate", "--data", "{d}/nope.csv", "--checkpoint", "{d}/nope.json"], "nope.json"),
+    (["train", "--data", "{d}/nope.csv", "--out", "{d}/m.json"], "nope.csv"),
+    (["generate", "--dgp", '{{"kind": "lin", "n": 10, "p": 2}}', "--out", "{d}/no-dir/x.csv"],
+     "x.csv"),
+], ids=["estimate", "train", "generate"])
+def test_a_file_that_cannot_be_opened_exits_with_code_two(tmp_path, capsys, command, missing):
+    rc = main([arg.format(d=tmp_path) for arg in command])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path) in err and missing in err
+
+
 @pytest.mark.parametrize("width", [1, 5])
 def test_estimate_on_a_csv_of_the_wrong_width_exits_with_code_two(tmp_path, capsys, width):
     ckpt, train_csv, other_csv = tmp_path / "m.json", tmp_path / "d.csv", tmp_path / "o.csv"

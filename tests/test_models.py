@@ -200,10 +200,10 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
     sc = Scaler.fit(X, y)
     params = small_dragonnet(seed=13)
     params.epsilon[...] = 0.0625
-    payload = make_payload(ARCH_DRAGONNET, params, sc, 0.5, True, "cafe0123cafe0123")
+    payload = lambda: make_payload(ARCH_DRAGONNET, params, sc, 0.5, True, "cafe0123cafe0123")
     model = FittedModel(predict=build_predictors(params, sc), epsilon_hat=0.5,
                         metadata={"architecture": ARCH_DRAGONNET, "treg": True},
-                        payload=payload)
+                        build_payload=payload)
     path = tmp_path / "ckpt.json"
     save_checkpoint(model, path)
     again = load_checkpoint(path)
@@ -222,10 +222,10 @@ def test_checkpoint_tarnet_roundtrip(tmp_path):
     y = rng.normal(size=20)
     sc = Scaler.fit(X, y)
     params = init_network(np.random.default_rng(17), 3, (8,), (6,), ARCH_TARNET)
-    payload = make_payload(ARCH_TARNET, params, sc, 0.0, False, "beef4567beef4567")
+    payload = lambda: make_payload(ARCH_TARNET, params, sc, 0.0, False, "beef4567beef4567")
     model = FittedModel(predict=build_predictors(params, sc), epsilon_hat=0.0,
                         metadata={"architecture": ARCH_TARNET, "treg": False},
-                        payload=payload)
+                        build_payload=payload)
     path = tmp_path / "t.json"
     save_checkpoint(model, path)
     again = load_checkpoint(path)
@@ -306,10 +306,15 @@ def test_predict_rejects_a_wrong_width_before_scaling(width):
 
 
 @pytest.mark.parametrize("arch", [ARCH_DRAGONNET, ARCH_TARNET, ARCH_NEDNET])
-def test_v1_checkpoint_fixtures_still_predict_the_same(arch):
+def test_v1_checkpoint_fixtures_still_predict_the_same(arch, tmp_path):
     # written by the per-architecture containers this network replaced
     stored = json.loads((DATA / "checkpoint_v1_predictions.json").read_text())
-    model = load_checkpoint(DATA / f"checkpoint_v1_{arch}.json")
+    path = DATA / f"checkpoint_v1_{arch}.json"
+    model = load_checkpoint(path)
+    assert model.payload == json.loads(path.read_text())
+    assert model.payload is not model.payload  # a fresh dict on every read
+    save_checkpoint(model, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
     assert model.metadata["architecture"] == arch
     assert model.epsilon_hat == stored[arch]["epsilon_hat"]
     for got, name in zip(model.predict(np.array(stored["X"])), ("q0", "q1", "g")):

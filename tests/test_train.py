@@ -5,6 +5,7 @@ Networks here are deliberately tiny; statistical quality has its own
 tests at realistic sizes in the acceptance suite.
 """
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 import dragonbench.autodiff as ad
+import dragonbench.train as train_module
 from dragonbench.datagen import Dataset, gen_dgp_lin
 from dragonbench.errors import ConfigError, TrainingDivergedError
 from dragonbench.estimators import apply_estimators, propensity_accuracy
@@ -242,6 +244,41 @@ def test_divergence_in_an_overlapped_epoch_keeps_the_callers_error_state(monkeyp
             train_dragonnet(data, cfg)
     assert exc.value.epoch == 1
     assert threading.active_count() == threads
+
+
+# A seeded tiny fit of each architecture and the sha256 of the checkpoint
+# it saves: building the payload on demand must not move a byte of the file.
+CHECKPOINT_FITS = [
+    ("dragonnet", 1.0, "7b8a3fceee9afd67a659ffd6bf852b9455ddc6f13bef9ab70b17c806f740a35d"),
+    ("tarnet", 1.0, "8a9ac1e56e61d37486adf244f48e3914949e6618857ca0057cba22d0b703f704"),
+    ("nednet", 0.0, "c0e9c691ddae9cfe221c4845581d57bc06d1a2fc813d1cb0efd014981397a9c9"),
+]
+
+
+def _checkpoint_fit(arch: str, beta: float):
+    cfg = TrainConfig(beta=beta, epochs=4, patience=0, val_fraction=0.25,
+                      shared_widths=(8,), outcome_widths=(4,), seed=7)
+    return train_architecture(arch, toy_data(n=120, seed=3), cfg)
+
+
+@pytest.mark.parametrize("arch, beta, _", CHECKPOINT_FITS, ids=[f[0] for f in CHECKPOINT_FITS])
+def test_a_fit_builds_its_checkpoint_payload_only_when_read(monkeypatch, arch, beta, _):
+    calls = []
+    real = train_module.make_payload
+    monkeypatch.setattr(train_module, "make_payload", lambda *args: calls.append(args) or real(*args))
+    model = _checkpoint_fit(arch, beta)
+    assert calls == []
+    first = model.payload
+    assert len(calls) == 1
+    first["epsilon_hat"] = "edited"  # a caller's edit does not reach the next read
+    assert model.payload["epsilon_hat"] == model.epsilon_hat
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("arch, beta, sha256", CHECKPOINT_FITS, ids=[f[0] for f in CHECKPOINT_FITS])
+def test_a_saved_checkpoint_keeps_its_bytes(tmp_path, arch, beta, sha256):
+    save_checkpoint(_checkpoint_fit(arch, beta), tmp_path / "m.json")
+    assert hashlib.sha256((tmp_path / "m.json").read_bytes()).hexdigest() == sha256
 
 
 # (architecture, config) of fits that each stop on patience before 80 epochs:
