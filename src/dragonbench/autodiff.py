@@ -90,10 +90,6 @@ class Var:
         self.value = np.asarray(value, dtype=np.float64)
         self._parents = _parents
 
-    @property
-    def shape(self):
-        return self.value.shape
-
     def __add__(self, other):
         return add(self, other)
 
@@ -118,9 +114,6 @@ class Var:
 
     def __neg__(self):
         return neg(self)
-
-    def __repr__(self):
-        return f"Var(shape={self.value.shape})"
 
 
 def add(a, b):

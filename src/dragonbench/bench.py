@@ -24,7 +24,7 @@ import inspect
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from itertools import islice
 from operator import index
 from pathlib import Path
@@ -63,7 +63,6 @@ ARCH_ORACLE = "oracle"
 MIN_SUBSAMPLE_ROWS = 50
 DEFAULT_TRUNCATION_LEVELS = ((0.01, 0.99), (0.03, 0.97), (0.1, 0.9))
 SUMMARY_SCOPE = "all"
-SUMMARY_COLUMNS = ("method", "estimator", "mean_abs_err", "std_err", "n_runs")
 
 # (label, architecture, treg) for the default comparison grid.
 DEFAULT_GRID = (
@@ -152,7 +151,7 @@ class ExperimentConfig:
     def estimator_tags(self) -> tuple[str, ...]:
         if self.estimators is not None:
             return self.estimators
-        return ((TAG_TREG if self.treg else TAG_Q), TAG_TMLE)
+        return (self.headline_tag(), TAG_TMLE)
 
     def headline_tag(self) -> str:
         return TAG_TREG if self.treg else TAG_Q
@@ -599,10 +598,10 @@ def _write_report(out_dir, csv_name, json_name, results: dict, key_column, bundl
     csv_path, json_path = out_dir / csv_name, out_dir / json_name
     with csv_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(((key_column,) if key_column else ()) + SUMMARY_COLUMNS)
+        writer.writerow(([key_column] if key_column else []) + [f.name for f in fields(SummaryRow)])
         for key, res in results.items():
             for row in res.summary.rows:
-                values = [row.method, row.estimator, repr(row.mean_abs_err), repr(row.std_err), row.n_runs]
+                values = [repr(v) if isinstance(v, float) else v for v in astuple(row)]
                 writer.writerow(([key] if key_column else []) + values)
     json_path.write_text(json.dumps({**bundle, "blas_threads": blas_threads()}))
     return csv_path, json_path

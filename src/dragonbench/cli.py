@@ -38,10 +38,10 @@ from .schema import config_values, plain
 from .train import TrainConfig, train_architecture
 
 
-def _parse_pair(text: str) -> tuple[float, float]:
-    parts = text.split(",")
+def _parse_pair(text: str, sep: str = ",") -> tuple[float, float]:
+    parts = text.split(sep)
     if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected 'low,high', got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected 'low{sep}high', got {text!r}")
     return float(parts[0]), float(parts[1])
 
 
@@ -49,14 +49,8 @@ def _parse_rates(text: str) -> list[float]:
     return [float(r) for r in text.split(",")]
 
 
-def _parse_levels(text: str):
-    out = []
-    for chunk in text.split(","):
-        lo, _, hi = chunk.partition(":")
-        if not hi:
-            raise argparse.ArgumentTypeError(f"expected 'low:high' levels, got {chunk!r}")
-        out.append((float(lo), float(hi)))
-    return out
+def _parse_levels(text: str) -> list[tuple[float, float]]:
+    return [_parse_pair(chunk, ":") for chunk in text.split(",")]
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -81,7 +75,6 @@ def _add_bench_flags(sub):
     sub.add_argument("--no-treg", dest="treg", action="store_const", const=False)
     sub.add_argument("--alpha", type=float)
     sub.add_argument("--beta", type=float)
-    sub.add_argument("--trim", type=_parse_pair, metavar="LOW,HIGH")
     sub.add_argument("--replications", type=int)
     sub.add_argument("--seed", type=int)
     sub.add_argument("--workers", type=int)
@@ -116,10 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
     bench = subs.add_parser("bench", help="replicated experiment (one method or a grid)")
     _add_bench_flags(bench)
     bench.add_argument("--grid", action="store_true", help="run the tarnet/dragonnet x treg grid")
-    bench.add_argument("--baseline", default=DEFAULT_BASELINE)
+    bench.add_argument("--baseline", help=f"grid method to compare with (default {DEFAULT_BASELINE})")
 
     sub_sweep = subs.add_parser("sweep-subsample", help="re-run at nested subsample rates")
     _add_bench_flags(sub_sweep)
+    for sub in (bench, sub_sweep):  # sweep-trim sets the trim per level
+        sub.add_argument("--trim", type=_parse_pair, metavar="LOW,HIGH")
     sub_sweep.add_argument("--rates", required=True, type=_parse_rates, help="comma-separated rates in (0, 1]")
 
     trim_sweep = subs.add_parser("sweep-trim", help="re-estimate under several trim levels")
@@ -181,9 +176,14 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.grid and (args.architecture is not None or args.treg is not None):
+        flag = "--arch" if args.architecture is not None else ("--treg" if args.treg else "--no-treg")
+        raise ConfigError(f"{flag} cannot be combined with --grid, which sets it per method")
+    if not args.grid and args.baseline is not None:
+        raise ConfigError("--baseline needs --grid")
     cfg = _load_config(args)
     if args.grid:
-        result = run_grid(cfg, baseline=args.baseline)
+        result = run_grid(cfg, baseline=DEFAULT_BASELINE if args.baseline is None else args.baseline)
     else:
         result = run_experiment(cfg)
     print(format_summary(result))

@@ -86,24 +86,17 @@ class Dataset:
         )
 
 
+def _check_draw(noise_sd: float, **counts: int) -> None:
+    """Refuse a draw with a count below 1 or a negative noise_sd."""
+    if min(counts.values()) < 1:
+        need = " and ".join(f"{name} >= 1" for name in counts)
+        got = ", ".join(f"{name}={value}" for name, value in counts.items())
+        raise ConfigError(f"need {need}, got {got}")
+    if noise_sd < 0:
+        raise ConfigError(f"noise_sd must be >= 0, got {noise_sd}")
+
+
 # --- linear confounded DGP ------------------------------------------------
-
-def lin_direction(p: int) -> np.ndarray:
-    """Unit vector ones(p)/sqrt(p): the single confounding direction."""
-    return np.ones(p) / np.sqrt(p)
-
-
-def lin_true_propensity(X: np.ndarray, confounding_strength: float) -> np.ndarray:
-    """g(x) = sigmoid(c * w.x) with w = lin_direction(p)."""
-    X = np.asarray(X, dtype=np.float64)
-    return stable_sigmoid(confounding_strength * (X @ lin_direction(X.shape[1])))
-
-
-def lin_base_outcome(X: np.ndarray) -> np.ndarray:
-    """f(x) = w.x: the outcome surface shares the confounding direction."""
-    X = np.asarray(X, dtype=np.float64)
-    return X @ lin_direction(X.shape[1])
-
 
 def gen_dgp_lin(
     n: int,
@@ -125,16 +118,13 @@ def gen_dgp_lin(
     confounding_strength = 0 makes treatment independent of everything.
     Draw order: X, treatment uniforms, outcome noise.
     """
-    if n < 1 or p < 1:
-        raise ConfigError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
-    if noise_sd < 0:
-        raise ConfigError(f"noise_sd must be >= 0, got {noise_sd}")
+    _check_draw(noise_sd, n=n, p=p)
     X = rng.standard_normal((n, p))
-    g = lin_true_propensity(X, confounding_strength)
+    u = X @ (np.ones(p) / np.sqrt(p))
+    g = stable_sigmoid(confounding_strength * u)
     t = (rng.random(n) < g).astype(np.int64)
-    f = lin_base_outcome(X)
-    y = tau * t + f + noise_sd * rng.standard_normal(n)
-    return Dataset(X=X, t=t, y=y, mu0=f, mu1=f + tau, g_true=g)
+    y = tau * t + u + noise_sd * rng.standard_normal(n)
+    return Dataset(X=X, t=t, y=y, mu0=u, mu1=u + tau, g_true=g)
 
 
 # --- DGP with outcome-only covariates -------------------------------------
@@ -176,12 +166,9 @@ def gen_dgp_irrelevant(
     that an outcome-driven representation must spend units on, while the
     confounding structure stays fixed.
     """
-    if n < 1 or p_confound < 1:
-        raise ConfigError(f"need n >= 1 and p_confound >= 1, got n={n}, p_confound={p_confound}")
+    _check_draw(noise_sd, n=n, p_confound=p_confound)
     if p_outcome_only < 0:
         raise ConfigError("p_outcome_only must be >= 0")
-    if noise_sd < 0:
-        raise ConfigError(f"noise_sd must be >= 0, got {noise_sd}")
     p = p_confound + p_outcome_only
     X = rng.standard_normal((n, p))
 
@@ -234,10 +221,7 @@ def gen_dgp_ihdp_like(
     and y = mu_t + noise_sd * N(0, 1).  Draw order: X, beta_s, treatment
     uniforms, control noise, treated noise.
     """
-    if n < 1 or p < 1:
-        raise ConfigError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
-    if noise_sd < 0:
-        raise ConfigError(f"noise_sd must be >= 0, got {noise_sd}")
+    _check_draw(noise_sd, n=n, p=p)
     X = rng.standard_normal((n, p))
     beta = rng.choice(IHDP_LIKE_COEFS, size=p, p=IHDP_LIKE_COEF_PROBS)
     xb = X @ beta

@@ -16,9 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, NumericError, ShapeError
 
-ACTIVATIONS = ("elu", "identity", "sigmoid")
-
-_ACT_FNS = {
+ACTIVATIONS = {
     "elu": ad.elu,
     "identity": lambda x: x,
     "sigmoid": ad.sigmoid,
@@ -60,7 +58,7 @@ class DenseLayer:
             raise ShapeError(
                 f"bias shape {self.bias.shape} does not match {self.weights.shape[0]} outputs"
             )
-        if self.activation not in ACTIVATIONS:
+        if not (isinstance(self.activation, str) and self.activation in ACTIVATIONS):
             raise ConfigError(f"unknown activation {self.activation!r}")
         if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
             raise NumericError("layer parameters contain non-finite entries")
@@ -118,7 +116,7 @@ def apply_stack(layers: Iterable[DenseLayer], x, params=None):
     for i, layer in enumerate(layers):
         w, b = (layer.weights, layer.bias) if params is None else params[i]
         h = ad.linear(h, w, b)  # frees the previous activation before the next is made
-        h = _ACT_FNS[layer.activation](h)
+        h = ACTIVATIONS[layer.activation](h)
     return h
 
 

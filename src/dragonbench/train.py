@@ -216,6 +216,9 @@ def _sgd_loop(
     def batch_loss(vs, idx):
         return weighted_total(terms(*(a[idx] for a in train), vs), alpha, beta)
 
+    def stops(stale):  # early stopping; also tells whether epoch k can end training
+        return 0 < cfg.patience <= stale
+
     def sgd_epoch(epoch):
         order = batch_rows[order_rng.permutation(n_rows)]
         for start in range(0, n_rows, cfg.batch_size):
@@ -246,7 +249,7 @@ def _sgd_loop(
                 ahead.result()
             snapshot = [a.copy() for a in leaves]
             ahead = None
-            if pool and epoch + 1 < cfg.epochs and (cfg.patience == 0 or stale + 1 < cfg.patience):
+            if pool and epoch + 1 < cfg.epochs and not stops(stale + 1):
                 ahead = pool.submit(contextvars.copy_context().run, sgd_epoch, epoch + 1)
             tb = breakdown(*train, snapshot)
             _check_finite(tb, epoch)
@@ -265,7 +268,7 @@ def _sgd_loop(
                 stale = 0
             else:
                 stale += 1
-                if cfg.patience > 0 and stale >= cfg.patience:
+                if stops(stale):
                     break
     if best_snapshot is not None:
         for a, s in zip(leaves, best_snapshot):

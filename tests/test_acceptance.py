@@ -19,7 +19,7 @@ from dragonbench.bench import (
     subsample_sweep,
     truncation_sweep,
 )
-from dragonbench.datagen import gen_dgp_lin, lin_true_propensity
+from dragonbench.datagen import gen_dgp_lin
 from dragonbench.estimators import (
     TAG_Q,
     TAG_TREG,
@@ -199,7 +199,7 @@ def test_criterion_4_double_robustness():
     data = gen_dgp_lin(5000, 10, tau, 1.0, 1.0, np.random.default_rng(9))
     zero = lambda X: np.zeros(X.shape[0])
     model = FittedModel.from_functions(
-        q0=zero, q1=zero, g=lambda X: lin_true_propensity(X, 1.0)
+        q0=zero, q1=zero, g=lambda X: data.g_true  # predicted on data.X only
     )
 
     q0, q1, g = model.predict(data.X)

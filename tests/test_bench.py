@@ -32,7 +32,8 @@ from dragonbench.bench import (
     summarize,
     truncation_sweep,
 )
-from dragonbench.datagen import lin_true_propensity, write_csv
+from dragonbench.autodiff import stable_sigmoid
+from dragonbench.datagen import write_csv
 from dragonbench.errors import ConfigError, TrainingDivergedError
 from dragonbench.estimators import (
     ESTIMATOR_TAGS,
@@ -88,6 +89,12 @@ def test_config_validation():
         tiny_config(estimators=("Q", "NOPE"))
     with pytest.raises(ConfigError):
         tiny_config(dgp={"n": 10})
+    with pytest.raises(ConfigError, match="base_seed must be >= 0"):
+        tiny_config(base_seed=-1)
+    with pytest.raises(ConfigError, match="workers must be >= 1"):
+        tiny_config(workers=0)
+    with pytest.raises(ConfigError, match="train must be a TrainConfig or a dict"):
+        tiny_config(train=[("epochs", 3)])
 
 
 @pytest.mark.parametrize("split, match", [
@@ -278,7 +285,8 @@ def test_oracle_mode_requires_known_surfaces(tmp_path):
 def test_oracle_mode_uses_the_true_propensity(tmp_path):
     data = make_dataset({"kind": "lin", "n": 60, "p": 3, "confounding_strength": 2.0},
                         np.random.default_rng(0), 0)
-    np.testing.assert_array_equal(data.g_true, lin_true_propensity(data.X, 2.0))
+    u = data.X @ (np.ones(3) / np.sqrt(3))  # the confounding index w.x
+    np.testing.assert_array_equal(data.g_true, stable_sigmoid(2.0 * u))
     rows = np.arange(0, 60, 3)
     sub = data.subset(rows)
     np.testing.assert_array_equal(bench._oracle_model(sub).g(sub.X), data.g_true[rows])

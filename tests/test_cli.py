@@ -150,6 +150,25 @@ def test_sweep_trim(tmp_path, capsys):
     assert "[0.01,0.99]" in text and "[0.1,0.9]" in text
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["bench", "--grid", "--arch", "nednet"], "--arch"),
+    (["bench", "--grid", "--treg"], "--treg"),
+    (["bench", "--grid", "--no-treg"], "--no-treg"),
+    (["bench", "--baseline", "dragonnet"], "--baseline"),
+    (["sweep-trim", "--trim", "0.3,0.7"], "--trim"),
+], ids=["grid-arch", "grid-treg", "grid-no-treg", "baseline-without-grid", "sweep-trim-trim"])
+def test_options_that_would_change_nothing_are_refused(tmp_path, capsys, argv, flag):
+    # The grid sets architecture and treg per method, a baseline means
+    # nothing without a grid, and sweep-trim's levels replace the trim.
+    try:
+        rc = main([*argv, "--config", write_config(tmp_path)])
+    except SystemExit as exc:  # argparse: the option does not exist
+        rc = exc.code
+    assert rc == 2
+    (line,) = [l for l in capsys.readouterr().err.splitlines() if "error:" in l]
+    assert flag in line
+
+
 def test_config_errors_exit_with_code_two(tmp_path, capsys):
     cfg = write_config(tmp_path, architecture="nednet", treg=True)
     rc = main(["bench", "--config", cfg])
@@ -315,6 +334,13 @@ def test_generate_with_a_negative_seed_exits_with_code_two(tmp_path, capsys):
                "--out", str(tmp_path / "d.csv")])
     assert rc == 2
     assert "--seed must be >= 0" in error_line(capsys)
+
+
+def test_sweep_trim_with_a_malformed_level_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-trim", "--config", write_config(tmp_path), "--levels", "0.1:0.9,0.1:0.2:0.3"])
+    assert exc.value.code == 2
+    assert "argument --levels: expected 'low:high', got '0.1:0.2:0.3'" in capsys.readouterr().err
 
 
 def test_sweep_subsample_with_a_non_numeric_rate_is_a_usage_error(tmp_path, capsys):

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
+from dragonbench.autodiff import stable_sigmoid
 from dragonbench.datagen import (
     Dataset,
     SplitSpec,
     gen_dgp_ihdp_like,
     gen_dgp_irrelevant,
     gen_dgp_lin,
-    lin_base_outcome,
-    lin_true_propensity,
     load_csv,
     split,
     write_csv,
@@ -27,7 +26,8 @@ def lin_data(n=200, p=4, tau=1.0, c=1.0, noise=1.0, seed=0):
 def test_lin_noise_free_outcomes_are_exact():
     data = gen_dgp_lin(n=50, p=3, tau=2.0, confounding_strength=1.0, noise_sd=0.0,
                        rng=np.random.default_rng(1))
-    f = lin_base_outcome(data.X)
+    f = data.X @ (np.ones(3) / np.sqrt(3))  # u = w.x with w = ones/sqrt(p)
+    np.testing.assert_array_equal(data.g_true, stable_sigmoid(f))
     np.testing.assert_allclose(data.y, 2.0 * data.t + f, rtol=0, atol=1e-12)
     np.testing.assert_allclose(data.mu0, f, rtol=0, atol=0)
     np.testing.assert_allclose(data.mu1, f + 2.0, rtol=0, atol=0)
@@ -39,8 +39,8 @@ def test_lin_sample_ate_equals_tau_exactly():
 
 
 def test_lin_zero_confounding_gives_coin_flip_propensity():
-    X = np.random.default_rng(0).normal(size=(30, 4))
-    np.testing.assert_array_equal(lin_true_propensity(X, 0.0), np.full(30, 0.5))
+    data = lin_data(n=30, c=0.0)
+    np.testing.assert_array_equal(data.g_true, np.full(30, 0.5))
 
 
 def test_lin_treatment_rate_tracks_confounding_direction():
@@ -48,7 +48,7 @@ def test_lin_treatment_rate_tracks_confounding_direction():
     # but correlates with wx.
     data = gen_dgp_lin(n=20000, p=4, tau=1.0, confounding_strength=2.0, noise_sd=1.0,
                        rng=np.random.default_rng(3))
-    wx = lin_base_outcome(data.X)
+    wx = data.X @ np.full(4, 0.5)  # w = ones/sqrt(4)
     assert np.corrcoef(wx, data.t)[0, 1] > 0.3
     assert 0.4 < data.t.mean() < 0.6
 
@@ -80,6 +80,16 @@ def test_irrelevant_rejects_fewer_than_one_row(n):
     with pytest.raises(ConfigError, match=f"need n >= 1 and p_confound >= 1, got n={n}"):
         gen_dgp_irrelevant(n=n, p_confound=2, p_outcome_only=1, tau=1.0,
                            rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("generate, match", [
+    (lambda rng: gen_dgp_lin(0, 2, 1.0, 1.0, 1.0, rng), r"need n >= 1 and p >= 1, got n=0, p=2$"),
+    (lambda rng: gen_dgp_ihdp_like(20, 0, rng), r"need n >= 1 and p >= 1, got n=20, p=0$"),
+    (lambda rng: gen_dgp_irrelevant(20, 2, -1, 1.0, rng), r"p_outcome_only must be >= 0"),
+], ids=["lin-n", "ihdp_like-p", "irrelevant-p_outcome_only"])
+def test_generators_reject_a_count_out_of_range(generate, match):
+    with pytest.raises(ConfigError, match=match):
+        generate(np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("generate", [

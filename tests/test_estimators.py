@@ -7,8 +7,9 @@ those assertions use machine-precision tolerances, not statistical ones.
 import numpy as np
 import pytest
 
+from dragonbench.autodiff import stable_sigmoid
 from dragonbench.errors import ConfigError, EstimationError, NumericDomainError, UsageError
-from dragonbench.datagen import gen_dgp_lin, lin_true_propensity
+from dragonbench.datagen import gen_dgp_lin
 from dragonbench.estimators import (
     TAG_AIPTW,
     TAG_Q,
@@ -208,7 +209,7 @@ def test_double_robustness_with_true_propensity_and_zero_outcome_model():
     model = FittedModel.from_functions(
         q0=lambda X: np.zeros(X.shape[0]),
         q1=lambda X: np.zeros(X.shape[0]),
-        g=lambda X: lin_true_propensity(X, 1.0),
+        g=lambda X: data.g_true,  # predicted on data.X only
     )
     t = data.t.astype(np.float64)
     q0, q1, g = model.predict(data.X)
@@ -262,7 +263,8 @@ def test_apply_estimators_predicts_once_per_row_set():
         return np.zeros(len(Xq))
 
     model = FittedModel.from_functions(
-        q0, lambda Xq: np.ones(len(Xq)), lambda Xq: lin_true_propensity(Xq, 2.0),
+        q0, lambda Xq: np.ones(len(Xq)),
+        lambda Xq: stable_sigmoid(2.0 * (Xq @ (np.ones(2) / np.sqrt(2)))),
         epsilon_hat=0.1, treg=True,
     )
     apply_estimators(model, X, t, y, (0.0, 1.0), (TAG_Q, TAG_AIPTW, TAG_TMLE, TAG_TREG))

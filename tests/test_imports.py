@@ -1,10 +1,13 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every name
+it defines is used somewhere.
 
 A removed wrapper tends to leave its import behind (say, `plain` once the
 last `to_dict` that called it is gone).  This reads each module's syntax
 tree with the standard library's `ast` and lists the imported names that
 the module never loads.  `__init__` is left out: it imports names to
-re-export them.
+re-export them.  A removed caller can leave its callee behind too, so a
+second check lists the top-level functions, classes and constants of the
+package that no file under `src/`, `tests/` or `perfbench/` loads.
 """
 
 import ast
@@ -12,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dragonbench"
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "dragonbench"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -37,3 +41,44 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_definitions(modules: dict[str, str], sources: list[str]) -> list[str]:
+    """`module.name` for each top-level function, class or constant of
+    `modules` (name -> source) that no source in `sources` loads: by name,
+    as an attribute, or spelled as a string (`getattr`, `monkeypatch`)."""
+    loaded = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                loaded.add(node.value)
+    unused = []
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unused += [f"{module}.{name}" for name in names
+                       if not name.startswith("__") and name not in loaded]
+    return unused
+
+
+def test_the_check_sees_an_unused_definition():
+    module = "LIMIT = 1\n\ndef check(x):\n    return x < LIMIT\n\ndef spare():\n    pass\n"
+    caller = "from m import check\n\nclass Box:\n    pass\n\ncheck(getattr(m, 'spare'))\n"
+    assert unused_definitions({"m": module, "c": caller}, [module, caller]) == ["c.Box"]
+    assert unused_definitions({"m": module}, [module]) == ["m.check", "m.spare"]
+
+
+def test_every_package_definition_is_used():
+    files = [p for root in ("src", "tests", "perfbench") for p in sorted((REPO / root).rglob("*.py"))]
+    modules = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unused_definitions(modules, [p.read_text() for p in files]) == []

@@ -373,6 +373,14 @@ def _huge_integer_weight(payload):
     payload["stacks"]["head1"][0]["weights"][0][0] = 10**400  # no float64 holds it
 
 
+def _unknown_activation(payload):
+    payload["stacks"]["shared"][0]["activation"] = "relu"
+
+
+def _list_activation(payload):
+    payload["stacks"]["propensity"][0]["activation"] = ["sigmoid"]  # unhashable, so no dict lookup can refuse it
+
+
 @pytest.mark.parametrize("corrupt, error, match", [
     (_ragged_weights, ShapeError, "shared layer weights is ragged"),
     (_text_weights, ConfigError, "head1 layer weights is not numeric"),
@@ -384,6 +392,8 @@ def _huge_integer_weight(payload):
     (_nan_x_mean, ConfigError, "checkpoint scaler x_mean is not finite"),
     (_infinite_y_mean, ConfigError, "checkpoint scaler y_mean is not finite"),
     (_huge_integer_weight, ConfigError, "head1 layer weights is not numeric"),
+    (_unknown_activation, ConfigError, "unknown activation 'relu'"),
+    (_list_activation, ConfigError, r"unknown activation \['sigmoid'\]"),
     (None, ConfigError, "not JSON"),
 ])
 def test_load_checkpoint_malformed_values_raise_typed_errors(tmp_path, corrupt, error, match):

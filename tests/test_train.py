@@ -404,6 +404,14 @@ def test_config_validation():
         TrainConfig(val_fraction=0.9)
     with pytest.raises(ConfigError):
         TrainConfig(h_clip=0.6)
+    for field, value, match in [("batch_size", 0, "batch_size must be >= 1"),
+                                ("epochs", -1, "epochs must be >= 0"),
+                                ("patience", -1, "patience must be >= 0"),
+                                ("seed", -1, "seed must be >= 0"),
+                                ("shared_widths", (), "must be nonempty"),
+                                ("outcome_widths", (4, 0), "layer widths must be positive")]:
+        with pytest.raises(ConfigError, match=match):
+            TrainConfig(**{field: value})
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
