@@ -74,6 +74,7 @@ from .estimators import (
     psi_q,
     psi_tmle,
     psi_treg,
+    stationary_epsilon,
     trim,
 )
 from .models import (
@@ -89,7 +90,6 @@ from .objectives import (
     h_values,
     select_observed,
     squared_error_term,
-    stationary_epsilon,
     treg_term,
 )
 from .train import TrainConfig, train_architecture, train_dragonnet

@@ -89,8 +89,9 @@ class ExperimentConfig:
     {"kind": "irrelevant", n, p_confound, p_outcome_only, tau, ...},
     {"kind": "ihdp_like", n, p, ...} and {"kind": "csv", "paths": [...]}
     where replication i reads paths[i].  The objective weights are `alpha`
-    and `beta`, not `train`'s, and `treg` needs beta > 0 and a trained
-    architecture; TREG among `estimators` needs `treg`.
+    and `beta`, not `train`'s, and the seed is `base_seed`, not `train`'s;
+    `treg` needs beta > 0 and a trained architecture; TREG among
+    `estimators` needs `treg`.
     """
 
     dgp: dict
@@ -117,6 +118,9 @@ class ExperimentConfig:
             raise ConfigError("train alpha and beta are not used: set alpha and beta at the "
                               "top level of the experiment config")
         replace(self.train, alpha=self.alpha, beta=self.beta)  # TrainConfig checks the weights
+        if self.train.seed is not None:
+            raise ConfigError("train seed is not used: each replication's training seed "
+                              "derives from base_seed, so set base_seed")
         if self.architecture not in (*ARCHITECTURES, ARCH_ORACLE):
             raise ConfigError(f"unknown architecture {self.architecture!r}")
         if self.treg and self.architecture in ("nednet", ARCH_ORACLE):
@@ -525,11 +529,15 @@ def run_grid(
 
     The data/split/train seeds depend only on (base_seed, replication), so
     every method sees the same drawn datasets and the comparisons pair up.
+    Methods without treg report the config's `estimators` bar TREG.
     """
     labels = [m[0] for m in methods]
     if baseline not in labels:
         raise ConfigError(f"baseline {baseline!r} is not in the method grid {labels}")
-    configs = [replace(config, architecture=arch, treg=treg) for _, arch, treg in methods]
+    tags = config.estimators
+    untreg = tags and tuple(tag for tag in tags if tag != TAG_TREG)  # None stays None
+    configs = [replace(config, architecture=arch, treg=treg, estimators=tags if treg else untreg)
+               for _, arch, treg in methods]
     per_method = _run_all_replications(config.workers, [(cfg, None) for cfg in configs])
     results = {label: ExperimentResult(cfg, runs)
                for label, cfg, [runs] in zip(labels, configs, per_method)}

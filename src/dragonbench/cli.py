@@ -33,7 +33,7 @@ from .bench import (
 from .datagen import load_csv, write_csv
 from .errors import PACKAGE_ERRORS, ConfigError
 from .estimators import apply_estimators
-from .models import ARCHITECTURES, load_checkpoint, save_checkpoint
+from .models import ARCH_DRAGONNET, ARCHITECTURES, load_checkpoint, save_checkpoint
 from .schema import config_values, plain
 from .train import TrainConfig, train_architecture
 
@@ -181,6 +181,8 @@ def _cmd_bench(args) -> int:
         raise ConfigError(f"{flag} cannot be combined with --grid, which sets it per method")
     if not args.grid and args.baseline is not None:
         raise ConfigError("--baseline needs --grid")
+    if args.grid:  # the grid sets both per method; a treg base config may list TREG
+        args.architecture, args.treg = ARCH_DRAGONNET, True
     cfg = _load_config(args)
     if args.grid:
         result = run_grid(cfg, baseline=DEFAULT_BASELINE if args.baseline is None else args.baseline)

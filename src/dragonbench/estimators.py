@@ -15,6 +15,10 @@ All estimators are pure functions of those arrays and expect pre-trimmed
 inputs: run `trim` on the propensity scores first and feed every
 estimator the same retained rows, which is what `apply_estimators` does
 with one `FittedModel.predict` per row set.
+
+Each public function checks its arrays once, through `_checked`, and the
+influence curve is written once, in `_influence`, for checked arrays.
+`stationary_epsilon` is TMLE's fluctuation and training's exact epsilon step.
 """
 
 from __future__ import annotations
@@ -23,16 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationError, NumericDomainError, ShapeError, UsageError
-from .objectives import (
-    _as_1d,
-    _check_binary,
-    _check_lengths,
-    _check_prob_open,
-    h_values,
-    select_observed,
-    stationary_epsilon,
-)
+from .errors import EstimationError, NumericDomainError, NumericError, ShapeError, UsageError
+from .objectives import h_values, select_observed
 from .schema import check_keys, config_values
 
 OVERLAP_ACCURACY_THRESHOLD = 0.90
@@ -79,6 +75,23 @@ class EstimateReport:
         return cls(**{**d, "trim_bounds": tuple(d["trim_bounds"])})
 
 
+def _checked(**arrays) -> list[np.ndarray]:
+    """The arrays as 1-d float64, refused unless they have one length, an
+    array named `t` holds only 0 and 1, and one named `g` lies inside (0, 1)."""
+    out = {name: np.asarray(a, dtype=np.float64) for name, a in arrays.items()}
+    for name, a in out.items():
+        if a.ndim != 1:
+            raise ShapeError(f"{name} must be 1-d, got shape {a.shape}")
+    lengths = {name: len(a) for name, a in out.items()}
+    if len(set(lengths.values())) != 1:
+        raise ShapeError(f"length mismatch: {lengths}")
+    if "t" in out and not np.isin(out["t"], (0.0, 1.0)).all():
+        raise NumericDomainError("t must contain only 0 and 1")
+    if "g" in out and ((out["g"] <= 0.0) | (out["g"] >= 1.0)).any():
+        raise NumericDomainError("g must lie strictly inside (0, 1)")
+    return list(out.values())
+
+
 def _check_rows(n: int, context: str):
     if n == 0:
         raise EstimationError(f"{context}: no rows to estimate from")
@@ -86,7 +99,7 @@ def _check_rows(n: int, context: str):
 
 def trim(g_values, bounds=(0.01, 0.99)) -> TrimResult:
     """Indices of rows whose propensity lies inside [low, high], inclusive."""
-    g = _as_1d("g_values", g_values)
+    [g] = _checked(g_values=g_values)
     if ((g < 0.0) | (g > 1.0)).any():
         raise NumericDomainError("g_values must lie in [0, 1]")
     lo, hi = float(bounds[0]), float(bounds[1])
@@ -111,47 +124,59 @@ def overlap_flag(heldout_accuracy: float) -> bool:
 
 def propensity_accuracy(g_values, t) -> float:
     """Share of rows where thresholding g at 0.5 reproduces t."""
-    g = _as_1d("g_values", g_values)
-    t = _as_1d("t", t)
-    _check_binary(t)
-    _check_rows(_check_lengths(g=g, t=t), "propensity_accuracy")
+    g, t = _checked(g_values=g_values, t=t)
+    _check_rows(len(t), "propensity_accuracy")
     return float(np.mean((g > 0.5).astype(np.float64) == t))
 
 
 def diff_in_means(t, y) -> float:
     """Unadjusted mean(y | t=1) - mean(y | t=0); the no-covariate baseline."""
-    t = _as_1d("t", t)
-    y = _as_1d("y", y)
-    _check_binary(t)
-    _check_lengths(t=t, y=y)
+    t, y = _checked(t=t, y=y)
     treated = t == 1.0
     if not treated.any() or treated.all():
         raise EstimationError("diff_in_means needs both treated and control rows")
     return float(y[treated].mean() - y[~treated].mean())
 
 
-def _nuisances(q0, q1, g, t, y):
-    """Validated float arrays of one row set: same length, g inside (0, 1), t binary."""
-    names = ("q0", "q1", "g", "t", "y")
-    q0, q1, g, t, y = arrays = [_as_1d(k, v) for k, v in zip(names, (q0, q1, g, t, y))]
-    _check_rows(_check_lengths(q0=q0, q1=q1, g=g, t=t, y=y), "estimator input")
-    _check_prob_open(g)
-    _check_binary(t)
+def _nuisances(q0, q1, g, t, y) -> list[np.ndarray]:
+    """The checked arrays (q0, q1, g, t, y) of one nonempty row set."""
+    arrays = _checked(q0=q0, q1=q1, g=g, t=t, y=y)
+    _check_rows(len(arrays[0]), "estimator input")
     return arrays
 
 
-def influence_curve(q0, q1, g, t, y, psi: float) -> InfluenceValues:
-    """phi_i = q1_i - q0_i + H(t_i, g_i) * (y_i - q_{t_i}) - psi."""
-    q0, q1, g, t, y = _nuisances(q0, q1, g, t, y)
+def _influence(q0, q1, g, t, y, psi: float) -> InfluenceValues:
+    """`influence_curve` of arrays already checked."""
     phi = q1 - q0 + h_values(t, g) * (y - select_observed(q0, q1, t)) - float(psi)
     return InfluenceValues(phi=phi, mean_phi=float(np.mean(phi)))
 
 
+def influence_curve(q0, q1, g, t, y, psi: float) -> InfluenceValues:
+    """phi_i = q1_i - q0_i + H(t_i, g_i) * (y_i - q_{t_i}) - psi."""
+    return _influence(*_nuisances(q0, q1, g, t, y), psi)
+
+
+def stationary_epsilon(y, q_at_t, t, g) -> float:
+    """Closed-form minimizer in epsilon of mean[(y - q_at_t - epsilon * H(t, g))^2]:
+
+        epsilon* = sum(H_i * (y_i - q_i)) / sum(H_i^2).
+
+    The penalty is a parabola in epsilon with positive curvature whenever
+    the sample is nonempty, so this point is its unique minimum and the
+    estimating equation mean[H * (y - Q~)] = 0 holds there.
+    """
+    y, q_at_t, t, g = _checked(y=y, q_at_t=q_at_t, t=t, g=g)
+    h = h_values(t, g)
+    denom = float(np.sum(h * h))
+    if not np.isfinite(denom) or denom <= 0.0:
+        raise NumericError(f"degenerate curvature sum(H^2) = {denom!r}", denom)
+    return float(np.sum(h * (y - q_at_t)) / denom)
+
+
 def psi_q(q0, q1) -> float:
     """Plug-in estimate: mean of q1(x) - q0(x) over the given rows."""
-    q0 = _as_1d("q0", q0)
-    q1 = _as_1d("q1", q1)
-    _check_rows(_check_lengths(q0=q0, q1=q1), "estimator input")
+    q0, q1 = _checked(q0=q0, q1=q1)
+    _check_rows(len(q0), "estimator input")
     return float(np.mean(q1 - q0))
 
 
@@ -161,9 +186,9 @@ def psi_aiptw(q0, q1, g, t, y) -> tuple[float, InfluenceValues]:
     The estimate is the value that zeroes the empirical mean of the
     influence curve, so mean_phi is 0 up to rounding by construction.
     """
-    q0, q1, g, t, y = _nuisances(q0, q1, g, t, y)
-    psi = float(np.mean(q1 - q0 + h_values(t, g) * (y - select_observed(q0, q1, t))))
-    return psi, influence_curve(q0, q1, g, t, y, psi)
+    arrays = _nuisances(q0, q1, g, t, y)
+    psi = _influence(*arrays, 0.0).mean_phi  # the mean contrast: x - 0.0 is x
+    return psi, _influence(*arrays, psi)
 
 
 def _perturbed(q0, q1, g, t, y, eps: float) -> tuple[float, InfluenceValues]:
@@ -171,7 +196,7 @@ def _perturbed(q0, q1, g, t, y, eps: float) -> tuple[float, InfluenceValues]:
     q1_star = q1 + eps / g
     q0_star = q0 - eps / (1.0 - g)
     psi = float(np.mean(q1_star - q0_star))
-    return psi, influence_curve(q0_star, q1_star, g, t, y, psi)
+    return psi, _influence(q0_star, q1_star, g, t, y, psi)
 
 
 def psi_tmle(q0, q1, g, t, y) -> tuple[float, InfluenceValues, float]:
@@ -216,8 +241,7 @@ def apply_estimators(
     they use, bit for bit.
     """
     X = np.asarray(X, dtype=np.float64)
-    t = _as_1d("t", t)
-    y = _as_1d("y", y)
+    t, y = _checked(t=t, y=y)
     if estimators is None:
         estimators = (TAG_Q, TAG_AIPTW, TAG_TMLE) + ((TAG_TREG,) if model.treg else ())
     unknown = set(estimators) - set(ESTIMATOR_TAGS)
@@ -227,7 +251,9 @@ def apply_estimators(
         raise UsageError("TREG needs a model trained with beta > 0")
     if X.ndim != 2:
         raise ShapeError(f"X must be 2-d, got shape {X.shape}")
-    _check_rows(X.shape[0], "apply_estimators")
+    if X.shape[0] != len(t):
+        raise ShapeError(f"X has {X.shape[0]} rows but t and y have {len(t)}")
+    _check_rows(len(t), "apply_estimators")
     preds = model.predict(X)
     tr = trim(preds[2], bounds)
     if tr.kept.size == 0:
@@ -242,7 +268,7 @@ def apply_estimators(
     for tag in estimators:
         if tag == TAG_Q:
             psi = psi_q(q0, q1)
-            iv = influence_curve(q0, q1, g, tk, yk, psi)
+            iv = _influence(q0, q1, g, tk, yk, psi)
         elif tag == TAG_AIPTW:
             psi, iv = psi_aiptw(q0, q1, g, tk, yk)
         elif tag == TAG_TMLE:

@@ -39,6 +39,7 @@ import numpy as np
 from . import autodiff as ad
 from .datagen import Dataset
 from .errors import ConfigError, NumericError, TrainingDivergedError
+from .estimators import stationary_epsilon
 from .models import (
     ARCH_DRAGONNET,
     ARCH_NEDNET,
@@ -57,7 +58,6 @@ from .objectives import (
     cross_entropy_term,
     select_observed,
     squared_error_term,
-    stationary_epsilon,
     treg_term,
     weighted_total,
 )
@@ -316,8 +316,43 @@ def _finalize_epsilon(net: ThreeHeadNet, Xs, ys, ts, cfg: TrainConfig):
     net.epsilon[...] = stationary_epsilon(ys, q_at_t, ts, gc)
 
 
-def _train(arch: str, data: Dataset, cfg: TrainConfig, rng, val_data) -> FittedModel:
-    """Shared trainer: one joint objective, or nednet's two phases."""
+def _fitted(arch: str, net: ThreeHeadNet, scaler: Scaler, cfg: TrainConfig, **meta) -> FittedModel:
+    """The trained network with its scaler and metadata; the checkpoint payload
+    is built only when read.  Epsilon comes back in outcome units."""
+    epsilon_hat = float(net.epsilon) * scaler.y_std
+    treg = cfg.beta > 0
+    digest = config_digest(cfg)
+    meta = {"architecture": arch, "treg": treg, "alpha": cfg.alpha, "beta": cfg.beta,
+            "config_digest": digest, **meta}
+    payload = partial(make_payload, arch, net, scaler, epsilon_hat, treg, digest, plain(cfg))
+    return FittedModel(predict=build_predictors(net, scaler), epsilon_hat=epsilon_hat,
+                       metadata=meta, build_payload=payload)
+
+
+def train_dragonnet(
+    data: Dataset, cfg: TrainConfig = TrainConfig(), rng=None, val_data: "Dataset | None" = None
+) -> FittedModel:
+    """Joint training of the shared stack, outcome heads and propensity head."""
+    return train_architecture(ARCH_DRAGONNET, data, cfg, rng, val_data)
+
+
+def train_architecture(
+    arch: str, data: Dataset, cfg: TrainConfig, rng=None, val_data: "Dataset | None" = None
+) -> FittedModel:
+    """Train one of ARCHITECTURES on `data`.
+
+    dragonnet and tarnet fit one joint objective; tarnet's propensity is a
+    logistic regression on the raw covariates, coupled to the outcome heads
+    only through the fluctuation penalty when beta > 0.  nednet trains in
+    two phases: the shared stack plus the propensity on pure cross-entropy,
+    then the outcome heads, still at their initial draw, on squared error
+    over the frozen representation with a fresh optimizer.  nednet has no
+    fluctuation term, so it needs beta = 0 and its epsilon stays 0.
+    """
+    if arch not in ARCHITECTURES:
+        raise ConfigError(f"unknown architecture {arch!r}; expected one of {sorted(ARCHITECTURES)}")
+    if arch == ARCH_NEDNET and cfg.beta > 0:
+        raise ConfigError("nednet has no fluctuation parameter; use beta = 0")
     if rng is None:
         rng = np.random.default_rng(cfg.seed if cfg.seed is not None else 0)
     init_rng, order_rng = _child_rngs(rng, 2)
@@ -363,43 +398,3 @@ def _train(arch: str, data: Dataset, cfg: TrainConfig, rng, val_data) -> FittedM
     Zval = None if ext_val is None else (apply_stack(net.shared, ext_val[0]), *ext_val[1:])
     loop2 = fit(p2_stacks, p2_terms, NEDNET_WEIGHTS, (Z, ys, ts), Zval)
     return _fitted(arch, net, scaler, cfg, beta=0.0, **loop2, phase1=loop1)
-
-
-def _fitted(arch: str, net: ThreeHeadNet, scaler: Scaler, cfg: TrainConfig, **meta) -> FittedModel:
-    """The trained network with its scaler and metadata; the checkpoint payload
-    is built only when read.  Epsilon comes back in outcome units."""
-    epsilon_hat = float(net.epsilon) * scaler.y_std
-    treg = cfg.beta > 0
-    digest = config_digest(cfg)
-    meta = {"architecture": arch, "treg": treg, "alpha": cfg.alpha, "beta": cfg.beta,
-            "config_digest": digest, **meta}
-    payload = partial(make_payload, arch, net, scaler, epsilon_hat, treg, digest, plain(cfg))
-    return FittedModel(predict=build_predictors(net, scaler), epsilon_hat=epsilon_hat,
-                       metadata=meta, build_payload=payload)
-
-
-def train_dragonnet(
-    data: Dataset, cfg: TrainConfig = TrainConfig(), rng=None, val_data: "Dataset | None" = None
-) -> FittedModel:
-    """Joint training of the shared stack, outcome heads and propensity head."""
-    return _train(ARCH_DRAGONNET, data, cfg, rng, val_data)
-
-
-def train_architecture(
-    arch: str, data: Dataset, cfg: TrainConfig, rng=None, val_data: "Dataset | None" = None
-) -> FittedModel:
-    """Train one of ARCHITECTURES on `data`.
-
-    dragonnet and tarnet fit one joint objective; tarnet's propensity is a
-    logistic regression on the raw covariates, coupled to the outcome heads
-    only through the fluctuation penalty when beta > 0.  nednet trains in
-    two phases: the shared stack plus the propensity on pure cross-entropy,
-    then the outcome heads, still at their initial draw, on squared error
-    over the frozen representation with a fresh optimizer.  nednet has no
-    fluctuation term, so it needs beta = 0 and its epsilon stays 0.
-    """
-    if arch not in ARCHITECTURES:
-        raise ConfigError(f"unknown architecture {arch!r}; expected one of {sorted(ARCHITECTURES)}")
-    if arch == ARCH_NEDNET and cfg.beta > 0:
-        raise ConfigError("nednet has no fluctuation parameter; use beta = 0")
-    return _train(arch, data, cfg, rng, val_data)

@@ -133,6 +133,17 @@ def test_config_refuses_weights_set_inside_train(weights):
                                     "train": {**plain(TINY_TRAIN), **weights}})
 
 
+@pytest.mark.parametrize("seed", [0, 5])
+def test_config_refuses_a_train_seed(seed):
+    # Each replication trains on a stream drawn from (base_seed, replication),
+    # so a train seed would change nothing.
+    with pytest.raises(ConfigError, match="set base_seed"):
+        tiny_config(train=replace(TINY_TRAIN, seed=seed))
+    with pytest.raises(ConfigError, match="set base_seed"):
+        ExperimentConfig.from_dict({**plain(tiny_config()),
+                                    "train": {**plain(TINY_TRAIN), "seed": seed}})
+
+
 def test_config_roundtrip():
     cfg = tiny_config(treg=True, estimators=("TREG", "TMLE"), workers=2)
     again = ExperimentConfig.from_dict(json.loads(json.dumps(plain(cfg))))
@@ -365,6 +376,23 @@ def test_grid_pairs_runs_by_replication():
     errs_d, errs_t = paired_headline_errors(grid.results["dragonnet"], grid.results["tarnet"])
     assert len(errs_d) == len(errs_t) == 2
     assert grid.comparisons["dragonnet"].n_pairs == 2
+    # No pair for a replication the baseline lacks, for an unusable run, or
+    # for a run without its headline estimate.
+    dragon, tar = grid.results["dragonnet"], grid.results["tarnet"]
+    first, second = tar.runs
+    for runs in [(first,), (first, replace(second, overlap=True)),
+                 (first, replace(second, abs_errors={}))]:
+        assert paired_headline_errors(dragon, replace(tar, runs=runs)) == (errs_d[:1], errs_t[:1])
+
+
+def test_a_grid_reports_treg_only_for_its_treg_methods():
+    cfg = tiny_config(replications=1, treg=True, estimators=("Q", "TREG"))
+    methods = (("tarnet", "tarnet", False), ("dragonnet+treg", "dragonnet", True))
+    grid = run_grid(cfg, methods=methods, baseline="tarnet")
+    tags = {label: (res.config.estimators, set(res.runs[0].reports["all"]))
+            for label, res in grid.results.items()}
+    assert tags == {"tarnet": (("Q",), {"Q"}), "dragonnet+treg": (("Q", "TREG"), {"Q", "TREG"})}
+    assert grid.comparisons["dragonnet+treg"].n_pairs == 1  # its TREG against tarnet's Q
 
 
 def test_grid_methods_see_identical_datasets():
@@ -793,6 +821,9 @@ def test_emit_sweep_report(tmp_path):
     assert bundle["kind"] == "trim"
     assert set(bundle["levels"]) == {"0.01:0.99", "0.1:0.9"}
     assert bundle["blas_threads"] == blas_threads()
+    with pytest.raises(ConfigError, match="empty sweep"):
+        emit_sweep_report({}, tmp_path / "empty", "trim")
+    assert not (tmp_path / "empty").exists()
 
 
 def test_format_helpers_render_tables():

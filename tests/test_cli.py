@@ -123,6 +123,21 @@ def test_bench_grid(tmp_path, capsys):
     assert "paired comparison vs tarnet" in text
 
 
+@pytest.mark.parametrize("treg", [False, True])
+def test_bench_grid_lists_treg_for_the_treg_methods(tmp_path, capsys, treg):
+    # The grid sets treg per method, so the config file's treg does not matter.
+    cfg = write_config(tmp_path, replications=1, treg=treg)
+    out_dir = tmp_path / "report"
+    rc = main(["bench", "--config", cfg, "--grid", "--estimators", "Q,TREG",
+               "--out-dir", str(out_dir)])
+    assert rc == 0
+    assert "paired comparison vs tarnet" in capsys.readouterr().out
+    methods = json.loads((out_dir / "runs.json").read_text())["methods"]
+    tags = {label: sorted(entry["runs"][0]["reports"]["all"]) for label, entry in methods.items()}
+    assert tags == {"tarnet": ["Q"], "tarnet+treg": ["Q", "TREG"],
+                    "dragonnet": ["Q"], "dragonnet+treg": ["Q", "TREG"]}
+
+
 def test_sweep_subsample(tmp_path, capsys):
     cfg = write_config(tmp_path, dgp={"kind": "lin", "n": 150, "p": 3, "tau": 1.0},
                        replications=1)
@@ -144,10 +159,14 @@ def test_sweep_subsample_prints_a_repeated_rate_once(tmp_path, capsys):
 
 def test_sweep_trim(tmp_path, capsys):
     cfg = write_config(tmp_path, replications=1)
-    rc = main(["sweep-trim", "--config", cfg, "--levels", "0.01:0.99,0.1:0.9"])
+    out_dir = tmp_path / "sw"
+    rc = main(["sweep-trim", "--config", cfg, "--levels", "0.01:0.99,0.1:0.9",
+               "--out-dir", str(out_dir)])
     assert rc == 0
     text = capsys.readouterr().out
     assert "[0.01,0.99]" in text and "[0.1,0.9]" in text
+    assert f"sweep written to {out_dir / 'trim_sweep.csv'}" in text
+    assert (out_dir / "trim_sweep.json").exists()
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from dragonbench.autodiff import stable_sigmoid
-from dragonbench.errors import ConfigError, EstimationError, NumericDomainError, UsageError
+from dragonbench.errors import (
+    ConfigError,
+    EstimationError,
+    NumericDomainError,
+    ShapeError,
+    UsageError,
+)
 from dragonbench.datagen import gen_dgp_lin
 from dragonbench.estimators import (
     TAG_AIPTW,
@@ -25,6 +31,7 @@ from dragonbench.estimators import (
     psi_q,
     psi_tmle,
     psi_treg,
+    stationary_epsilon,
     trim,
 )
 from dragonbench.models import FittedModel
@@ -149,6 +156,8 @@ def test_overlap_flag_strictly_above_threshold():
     assert overlap_flag(0.95) is True
     assert overlap_flag(0.90) is False
     assert overlap_flag(0.5) is False
+    with pytest.raises(NumericDomainError, match="accuracy must be in"):
+        overlap_flag(1.5)
 
 
 def test_propensity_accuracy_threshold_rule():
@@ -281,6 +290,67 @@ def test_apply_estimators_unknown_tag():
     model = table_model(X, [0.0], [1.0], [0.5])
     with pytest.raises(UsageError):
         apply_estimators(model, X, np.array([1.0]), np.array([1.0]), estimators=("PSI",))
+
+
+@pytest.mark.parametrize("n", [5, 12])
+def test_apply_estimators_refuses_t_and_y_that_do_not_match_the_rows_of_x(n):
+    # Refused before any predict: fewer rows used to end in a bare
+    # IndexError, more rows in estimates from the first 10 rows alone.
+    X = np.zeros((10, 2))
+    calls = []
+    model = FittedModel.from_functions(lambda Xq: calls.append(Xq) or np.zeros(len(Xq)),
+                                       lambda Xq: np.ones(len(Xq)),
+                                       lambda Xq: np.full(len(Xq), 0.5))
+    t = np.arange(n) % 2.0
+    with pytest.raises(ShapeError, match=f"X has 10 rows but t and y have {n}"):
+        apply_estimators(model, X, t, np.zeros(n))
+    assert calls == []
+
+
+def test_apply_estimators_refuses_bad_rows_before_predicting():
+    X = np.array([[0.0], [1.0]])
+    model = table_model(X, [0.0, 0.0], [1.0, 1.0], [0.001, 0.5])
+    with pytest.raises(ShapeError, match="X must be 2-d"):
+        apply_estimators(model, X[:, 0], np.array([1.0, 0.0]), np.zeros(2))
+    with pytest.raises(EstimationError, match="no rows to estimate from"):
+        apply_estimators(model, np.zeros((0, 1)), np.zeros(0), np.zeros(0))
+    # t is checked on every row, also on a row the trim would drop
+    with pytest.raises(NumericDomainError, match="t must contain only 0 and 1"):
+        apply_estimators(model, X, np.array([0.5, 1.0]), np.zeros(2), (0.01, 0.99))
+
+
+ONE, TWO_D, T = np.full(2, 0.5), np.full((2, 1), 0.5), np.array([0.0, 1.0])
+PUBLIC_CHECKS = {  # each public estimation function, with a 2-d array in one argument
+    "trim": lambda a: trim(a),
+    "propensity_accuracy": lambda a: propensity_accuracy(a, T),
+    "diff_in_means": lambda a: diff_in_means(T, a),
+    "influence_curve": lambda a: influence_curve(ONE, a, ONE, T, ONE, 0.0),
+    "psi_q": lambda a: psi_q(a, ONE),
+    "psi_aiptw": lambda a: psi_aiptw(ONE, ONE, a, T, ONE),
+    "psi_tmle": lambda a: psi_tmle(ONE, ONE, ONE, T, a),
+    "psi_treg": lambda a: psi_treg(ONE, ONE, ONE, T, a, 0.1),
+    "stationary_epsilon": lambda a: stationary_epsilon(ONE, a, T, ONE),
+    "apply_estimators": lambda a: apply_estimators(table_model(np.zeros((2, 1)), ONE, ONE, ONE),
+                                                   np.zeros((2, 1)), T, a),
+}
+
+
+@pytest.mark.parametrize("call", PUBLIC_CHECKS.values(), ids=PUBLIC_CHECKS)
+def test_every_estimation_function_refuses_a_2d_array(call):
+    call(ONE)  # the 1-d twin passes
+    with pytest.raises(ShapeError, match=r"must be 1-d, got shape \(2, 1\)"):
+        call(TWO_D)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: psi_q([], []),
+    lambda: psi_aiptw([], [], [], [], []),
+    lambda: influence_curve([], [], [], [], [], 0.0),
+    lambda: propensity_accuracy([], []),
+], ids=["psi_q", "psi_aiptw", "influence_curve", "propensity_accuracy"])
+def test_estimators_refuse_empty_rows(call):
+    with pytest.raises(EstimationError, match="no rows to estimate from"):
+        call()
 
 
 def test_apply_estimators_everything_trimmed():

@@ -7,7 +7,9 @@ tree with the standard library's `ast` and lists the imported names that
 the module never loads.  `__init__` is left out: it imports names to
 re-export them.  A removed caller can leave its callee behind too, so a
 second check lists the top-level functions, classes and constants of the
-package that no file under `src/`, `tests/` or `perfbench/` loads.
+package that no file under `src/`, `tests/` or `perfbench/` loads.  A
+third check keeps each private name private: no package module imports a
+leading-underscore name from another.
 """
 
 import ast
@@ -82,3 +84,25 @@ def test_every_package_definition_is_used():
     files = [p for root in ("src", "tests", "perfbench") for p in sorted((REPO / root).rglob("*.py"))]
     modules = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert unused_definitions(modules, [p.read_text() for p in files]) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """Leading-underscore names that the module imports from the package."""
+    private = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").partition(".")[0] == "dragonbench"):
+            private += [a.name for a in node.names if a.name.startswith("_")]
+    return private
+
+
+def test_the_check_sees_a_private_import():
+    source = ("from types import ModuleType as _ModuleType\n"
+              "from .objectives import _as_1d, h_values as _h\n"
+              "from dragonbench.train import _train\n")
+    assert private_imports(source) == ["_as_1d", "_train"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_imports_a_private_name_of_another(path):
+    assert private_imports(path.read_text()) == []

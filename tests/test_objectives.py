@@ -12,13 +12,13 @@ import pytest
 
 import dragonbench.autodiff as ad
 from dragonbench.errors import ConfigError, NumericDomainError, NumericError, ShapeError
+from dragonbench.estimators import stationary_epsilon
 from dragonbench.objectives import (
     LossBreakdown,
     cross_entropy_term,
     h_values,
     select_observed,
     squared_error_term,
-    stationary_epsilon,
     treg_term,
     weighted_total,
 )

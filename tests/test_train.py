@@ -21,7 +21,7 @@ import dragonbench.autodiff as ad
 import dragonbench.train as train_module
 from dragonbench.datagen import Dataset, gen_dgp_lin
 from dragonbench.errors import ConfigError, TrainingDivergedError
-from dragonbench.estimators import apply_estimators, propensity_accuracy
+from dragonbench.estimators import apply_estimators, propensity_accuracy, stationary_epsilon
 from dragonbench.models import (
     ARCH_NEDNET,
     STACKS,
@@ -34,7 +34,6 @@ from dragonbench.nn import apply_stack
 from dragonbench.objectives import (
     cross_entropy_term,
     select_observed,
-    stationary_epsilon,
     weighted_total,
 )
 from dragonbench.schema import plain
