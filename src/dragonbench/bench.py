@@ -529,7 +529,8 @@ def run_grid(
 
     The data/split/train seeds depend only on (base_seed, replication), so
     every method sees the same drawn datasets and the comparisons pair up.
-    Methods without treg report the config's `estimators` bar TREG.
+    Methods without treg report the config's `estimators` bar TREG, and
+    every method must report its headline tag, which the comparisons use.
     """
     labels = [m[0] for m in methods]
     if baseline not in labels:
@@ -538,6 +539,10 @@ def run_grid(
     untreg = tags and tuple(tag for tag in tags if tag != TAG_TREG)  # None stays None
     configs = [replace(config, architecture=arch, treg=treg, estimators=tags if treg else untreg)
                for _, arch, treg in methods]
+    for label, cfg in zip(labels, configs):
+        if cfg.headline_tag() not in cfg.estimator_tags():
+            raise ConfigError(f"grid method {label} needs its headline estimator "
+                              f"{cfg.headline_tag()} among the estimators, got {list(tags)}")
     per_method = _run_all_replications(config.workers, [(cfg, None) for cfg in configs])
     results = {label: ExperimentResult(cfg, runs)
                for label, cfg, [runs] in zip(labels, configs, per_method)}

@@ -54,8 +54,8 @@ def _parse_levels(text: str) -> list[tuple[float, float]]:
 
 
 def _load_config(args) -> ExperimentConfig:
-    with open(args.config) as fh, config_values(f"config file {args.config}"):
-        cfg = ExperimentConfig.from_dict(json.load(fh))
+    """The config file with the command-line overrides applied before it is
+    checked, so a value checks the same in the file as given as a flag."""
     overrides = {}
     for name in ("architecture", "treg", "alpha", "beta", "trim", "replications", "workers"):
         value = getattr(args, name, None)
@@ -65,7 +65,8 @@ def _load_config(args) -> ExperimentConfig:
         overrides["base_seed"] = args.seed
     if getattr(args, "estimators", None):
         overrides["estimators"] = tuple(args.estimators.split(","))
-    return replace(cfg, **overrides) if overrides else cfg
+    with open(args.config) as fh, config_values(f"config file {args.config}"):
+        return ExperimentConfig.from_dict({**json.load(fh), **overrides})
 
 
 def _add_bench_flags(sub):

@@ -30,6 +30,10 @@ class TrainingDivergedError(RuntimeError):
         )
         self.epoch = epoch
         self.term = term
+        self.value = value
+
+    def __reduce__(self):  # pickles, so a scorer process can send it
+        return type(self), (self.epoch, self.term, self.value)
 
 
 class EstimationError(RuntimeError):

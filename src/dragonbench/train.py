@@ -5,8 +5,8 @@ rows are reshuffled, minibatch gradients are taken through the autodiff
 graph, and the full-data loss breakdown is recorded.  Early stopping
 watches the validation total (or the training total when no validation
 rows exist) with a patience counter and restores the best parameters seen.
-With a spare core and a fit large enough to pay for it, the next epoch's
-SGD runs on a worker thread while the calling thread records the last one
+With a spare core and a fit large enough to pay for it, a forked scorer
+process records each epoch while this process runs the next epoch's SGD
 (see `_sgd_loop`).
 
 Reproducibility: the caller's generator is used only to derive two child
@@ -23,13 +23,13 @@ in outcome units.
 
 from __future__ import annotations
 
-import contextvars
 import hashlib
 import json
+import mmap
 import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+import threading
+from contextlib import closing, nullcontext, suppress
 from dataclasses import dataclass
 from functools import partial
 from operator import index
@@ -160,18 +160,18 @@ def _composite_terms(net: ThreeHeadNet, x, y, t, leaves, cfg: TrainConfig):
     return outcome, xent, treg
 
 
-def _check_finite(breakdown: LossBreakdown, epoch: int):
+def _check_finite(breakdown: LossBreakdown, epoch: int) -> LossBreakdown:
     for term, value in plain(breakdown).items():
         if not np.isfinite(value):
             raise TrainingDivergedError(epoch, term, value)
+    return breakdown
 
 
-# Epochs overlap only when one epoch's scoring reaches this many
-# multiply-adds (scored rows x parameters, about 25 ms on one core): the
-# threads hand the GIL over around each scoring op, and under load each
-# hand-off can wait for a descheduled core.  An IHDP-like sweep fit (1e8)
-# saved 10 % idle and lost up to 43 % loaded; 2400 rows (3.4e8) saved 19 %.
-OVERLAP_MIN_WORK = 2e8
+# A fit forks a scorer only when one epoch's scoring reaches this many
+# multiply-adds (scored rows x parameters), which one core scores in about
+# 7 ms: forking and joining the scorer cost 5-7 ms per fit (a tiny 2-epoch
+# fit took 8.5 ms instead of 2.9).  An IHDP-like sweep fit (1e8) qualifies.
+OVERLAP_MIN_WORK = 8e7
 
 
 def _spare_core() -> bool:
@@ -180,6 +180,55 @@ def _spare_core() -> bool:
     affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     return multiprocessing.parent_process() is None and cpus > 1
+
+
+def _serve(conn, parent_end, score, views):
+    """The scorer process: send back score(epoch, views), or what it raised, for
+    each epoch received until None; a killed parent's closed end also stops it."""
+    parent_end.close()
+    with suppress(EOFError, BrokenPipeError):
+        for epoch in iter(conn.recv, None):
+            try:
+                result = score(epoch, views)
+            except Exception as err:
+                result = err
+            conn.send(result)
+
+
+class _ForkedScorer:
+    """A forked child that runs score(epoch, views) while the parent goes on; the
+    views (one shared mapping, each 64-byte aligned) are rewritten only once the
+    last result is back.  Only epochs, results and exceptions are pickled."""
+
+    def __init__(self, leaves: list[np.ndarray], score):
+        offsets = np.cumsum([0] + [-(-a.nbytes // 64) * 64 for a in leaves]).tolist()
+        buf = mmap.mmap(-1, offsets[-1])
+        self.views = [np.frombuffer(buf, a.dtype, a.size, at).reshape(a.shape)
+                      for a, at in zip(leaves, offsets)]
+        context = multiprocessing.get_context("fork")
+        self.conn, child_end = context.Pipe()
+        self.child = context.Process(target=_serve, args=(child_end, self.conn, score, self.views))
+        self.child.start()
+        child_end.close()
+
+    def submit(self, epoch: int, leaves: list[np.ndarray]):
+        for view, a in zip(self.views, leaves):
+            view[...] = a
+        self.conn.send(epoch)
+
+    def result(self):
+        result = self.conn.recv()
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    def close(self):
+        with suppress(OSError):  # the child is gone
+            self.conn.send(None)
+        self.child.join(timeout=5)
+        self.child.kill()  # a no-op once the child has exited
+        self.child.join()
+        self.conn.close()
 
 
 def _sgd_loop(
@@ -201,17 +250,19 @@ def _sgd_loop(
     of each whole set.  `val` (None when nothing is held out) drives early
     stopping, else the training total does.
 
-    The calling thread scores epoch k (breakdowns, checks, traces, early
-    stopping) on a snapshot of `leaves`.  If the scoring reaches
-    `OVERLAP_MIN_WORK`, `_spare_core()` holds and epoch k cannot end
-    training, epoch k + 1's SGD runs meanwhile on one worker thread under
-    the caller's numpy error state, else inline afterwards; the
-    permutations drawn and the errors raised are the same either way.
+    Epoch k is scored (breakdowns and finiteness checks) inline, or by a
+    `_ForkedScorer` when the fit has more than one epoch, the scoring
+    reaches `OVERLAP_MIN_WORK`, `_spare_core()` holds, no other thread runs
+    and `fork` exists.  This process then runs epoch k + 1's SGD meanwhile
+    if epoch k cannot end training.  The permutations drawn, the results and
+    the errors raised, in their order, are the same either way.
     """
     alpha, beta = weights
+    scored_sets = (train,) if val is None else (train, val)
 
-    def breakdown(x, y, t, params):
-        return LossBreakdown.weighted(*terms(x, y, t, params), alpha, beta)
+    def score(epoch, params):  # [train breakdown, val breakdown if any]
+        return [_check_finite(LossBreakdown.weighted(*terms(*rows, params), alpha, beta), epoch)
+                for rows in scored_sets]
 
     def batch_loss(vs, idx):
         return weighted_total(terms(*(a[idx] for a in train), vs), alpha, beta)
@@ -236,35 +287,30 @@ def _sgd_loop(
     best_snapshot = None
     stale = 0
     n_rows = len(batch_rows)
-    ahead = None
-    scored_rows = len(train[0]) + (0 if val is None else len(val[0]))
-    overlap = scored_rows * sum(a.size for a in leaves) >= OVERLAP_MIN_WORK and _spare_core()
-    # Leaving the pool joins a running epoch, so no thread outlives the loop
-    # and epoch k's divergence is raised only once epoch k + 1 has stopped.
-    with ThreadPoolExecutor(max_workers=1) if overlap else nullcontext() as pool:
+    ahead = False
+    work = sum(len(rows[0]) for rows in scored_sets) * sum(a.size for a in leaves)
+    fork = (cfg.epochs > 1 and work >= OVERLAP_MIN_WORK and _spare_core()
+            and threading.active_count() == 1 and "fork" in multiprocessing.get_all_start_methods())
+    with closing(_ForkedScorer(leaves, score)) if fork else nullcontext() as scorer:
         for epoch in range(cfg.epochs):
-            if ahead is None:
+            if not ahead:
                 sgd_epoch(epoch)
+            if scorer is None:
+                scores = score(epoch, leaves)
             else:
-                ahead.result()
-            snapshot = [a.copy() for a in leaves]
-            ahead = None
-            if pool and epoch + 1 < cfg.epochs and not stops(stale + 1):
-                ahead = pool.submit(contextvars.copy_context().run, sgd_epoch, epoch + 1)
-            tb = breakdown(*train, snapshot)
-            _check_finite(tb, epoch)
-            train_trace.append(tb)
-            if val is not None:
-                vb = breakdown(*val, snapshot)
-                _check_finite(vb, epoch)
-                val_trace.append(vb)
-                monitor = vb.total
-            else:
-                monitor = tb.total
-            if monitor < best_monitor:
-                best_monitor = monitor
+                scorer.submit(epoch, leaves)
+                ahead = epoch + 1 < cfg.epochs and not stops(stale + 1)
+                try:  # epoch k's result and errors come before epoch k + 1's
+                    if ahead:
+                        sgd_epoch(epoch + 1)
+                finally:
+                    scores = scorer.result()
+            train_trace.append(scores[0])
+            val_trace += scores[1:]
+            if scores[-1].total < best_monitor:
+                best_monitor = scores[-1].total
                 best_epoch = epoch
-                best_snapshot = snapshot
+                best_snapshot = [a.copy() for a in (leaves if scorer is None else scorer.views)]
                 stale = 0
             else:
                 stale += 1

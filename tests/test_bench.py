@@ -5,6 +5,7 @@ under test, not estimation quality.
 """
 
 import json
+import re
 from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
@@ -393,6 +394,18 @@ def test_a_grid_reports_treg_only_for_its_treg_methods():
             for label, res in grid.results.items()}
     assert tags == {"tarnet": (("Q",), {"Q"}), "dragonnet+treg": (("Q", "TREG"), {"Q", "TREG"})}
     assert grid.comparisons["dragonnet+treg"].n_pairs == 1  # its TREG against tarnet's Q
+
+
+@pytest.mark.parametrize("tags, method, missing", [(("TMLE",), "tarnet", "Q"),
+                                                   (("Q", "AIPTW"), "tarnet+treg", "TREG")])
+def test_a_grid_refuses_estimators_without_a_methods_headline_tag(monkeypatch, tags, method,
+                                                                  missing):
+    # Such a method would pair no errors with the baseline and drop out of
+    # the comparisons without a word; it is refused before anything runs.
+    monkeypatch.setattr("dragonbench.bench._run_all_replications", None)
+    with pytest.raises(ConfigError, match=f"grid method {re.escape(method)} needs its headline "
+                                          f"estimator {missing} "):
+        run_grid(tiny_config(treg=True, estimators=tags))
 
 
 def test_grid_methods_see_identical_datasets():

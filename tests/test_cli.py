@@ -123,19 +123,32 @@ def test_bench_grid(tmp_path, capsys):
     assert "paired comparison vs tarnet" in text
 
 
-@pytest.mark.parametrize("treg", [False, True])
-def test_bench_grid_lists_treg_for_the_treg_methods(tmp_path, capsys, treg):
-    # The grid sets treg per method, so the config file's treg does not matter.
-    cfg = write_config(tmp_path, replications=1, treg=treg)
+@pytest.mark.parametrize("treg, in_file", [pytest.param(False, False, id="False"),
+                                           pytest.param(True, False, id="True"),
+                                           pytest.param(False, True, id="tags-in-file")])
+def test_bench_grid_lists_treg_for_the_treg_methods(tmp_path, capsys, treg, in_file):
+    # The grid sets treg per method, so the config file's treg does not
+    # matter, whether the tags come as a flag or in the file.
+    tags = ["Q", "TREG"]
+    cfg = write_config(tmp_path, replications=1, treg=treg, **({"estimators": tags} if in_file else {}))
     out_dir = tmp_path / "report"
-    rc = main(["bench", "--config", cfg, "--grid", "--estimators", "Q,TREG",
-               "--out-dir", str(out_dir)])
+    flags = [] if in_file else ["--estimators", ",".join(tags)]
+    rc = main(["bench", "--config", cfg, "--grid", *flags, "--out-dir", str(out_dir)])
     assert rc == 0
     assert "paired comparison vs tarnet" in capsys.readouterr().out
     methods = json.loads((out_dir / "runs.json").read_text())["methods"]
     tags = {label: sorted(entry["runs"][0]["reports"]["all"]) for label, entry in methods.items()}
     assert tags == {"tarnet": ["Q"], "tarnet+treg": ["Q", "TREG"],
                     "dragonnet": ["Q"], "dragonnet+treg": ["Q", "TREG"]}
+
+
+def test_bench_grid_refuses_estimators_without_a_headline_tag(tmp_path, capsys):
+    cfg = write_config(tmp_path, replications=1)
+    rc = main(["bench", "--config", cfg, "--grid", "--estimators", "TMLE"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "paired comparison" not in captured.out
+    assert "grid method tarnet needs its headline estimator Q" in captured.err
 
 
 def test_sweep_subsample(tmp_path, capsys):

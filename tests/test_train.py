@@ -11,7 +11,9 @@ import multiprocessing
 import os
 import threading
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import nullcontext
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -215,23 +217,96 @@ def test_divergence_raises_typed_error():
     assert "epoch" in str(exc.value)
 
 
-def test_small_fits_start_no_worker_thread(monkeypatch):
-    def no_threads(*args, **kwargs):
-        raise AssertionError("a worker thread was started")
+def test_small_fits_fork_no_scorer(monkeypatch):
+    def no_fork(*args):
+        raise AssertionError("a scorer process was forked")
 
-    monkeypatch.setattr("dragonbench.train.ThreadPoolExecutor", no_threads)
+    monkeypatch.setattr(train_module, "_ForkedScorer", no_fork)
+    data = toy_data(n=150, seed=3)
     cfg = TrainConfig(epochs=3, patience=0, shared_widths=(10,), outcome_widths=(6,), seed=0)
-    train_dragonnet(toy_data(n=150, seed=3), cfg)
-    if _spare_core():  # the stub does catch a fit that overlaps
-        monkeypatch.setattr("dragonbench.train.OVERLAP_MIN_WORK", 0)
-        with pytest.raises(AssertionError, match="worker thread"):
-            train_dragonnet(toy_data(n=150, seed=3), cfg)
+    train_dragonnet(data, cfg)
+    monkeypatch.setattr("dragonbench.train.OVERLAP_MIN_WORK", 0)
+    train_dragonnet(data, replace(cfg, epochs=1))  # one epoch: nothing to overlap
+    with ThreadPoolExecutor(max_workers=1) as pool:  # forking beside a thread could deadlock
+        pool.submit(train_dragonnet, data, cfg).result(timeout=60)
+    if _spare_core():  # the stub does catch a fit that forks
+        with pytest.raises(AssertionError, match="scorer process"):
+            train_dragonnet(data, cfg)
+
+
+def _scoring_diverges_at(at_epoch: int):
+    def check(breakdown, epoch):
+        if epoch == at_epoch:
+            raise TrainingDivergedError(epoch, "xent", float("nan"))
+        return breakdown
+    return check
+
+
+# case -> (learning rate, the epoch whose scoring is made to diverge, the
+# (epoch, term) of the error raised).  At rate 1e4 epoch 1's SGD diverges
+# while a forked scorer scores epoch 0; when epoch 0's scoring diverges as
+# well, its error must come first, as inline.
+SCORER_FITS = {
+    "normal": (2e-3, None, None),
+    "sgd-diverges": (1e4, None, (1, "total")),
+    "scoring-raises": (2e-3, 2, (2, "xent")),
+    "both-raise": (1e4, 0, (0, "xent")),
+}
+
+
+@pytest.mark.parametrize("case", SCORER_FITS)
+def test_a_fit_leaves_no_scorer_and_no_thread_behind(monkeypatch, case):
+    # With the threshold at 0 each fit forks a scorer on a spare core, and a
+    # typed error raised inside the scorer must cross the pipe intact.
+    rate, scoring_diverges_at, expected = SCORER_FITS[case]
+    monkeypatch.setattr("dragonbench.train.OVERLAP_MIN_WORK", 0)
+    forked = []
+    real = train_module._ForkedScorer
+    monkeypatch.setattr(train_module, "_ForkedScorer", lambda *args: forked.append(1) or real(*args))
+    if scoring_diverges_at is not None:
+        monkeypatch.setattr(train_module, "_check_finite", _scoring_diverges_at(scoring_diverges_at))
+    cfg = TrainConfig(learning_rate=rate, epochs=6, patience=0, val_fraction=0.0,
+                      shared_widths=(16,), outcome_widths=(8,), seed=0)
+    threads = threading.active_count()
+    with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) if expected else nullcontext() as exc:
+        train_dragonnet(toy_data(n=100, seed=10), cfg)
+    if expected:
+        assert (exc.value.epoch, exc.value.term) == expected
+    assert forked == [1] * _spare_core()
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
+
+
+def test_a_scorer_raises_what_inline_scoring_raises(monkeypatch):
+    # At this rate epoch 0's SGD stays finite and its scoring overflows in a
+    # matmul, inside the scorer process when one is forked.  Underflow is not
+    # raised: the first SGD steps already underflow.
+    cfg = TrainConfig(learning_rate=100.0, epochs=30, patience=0, val_fraction=0.0,
+                      shared_widths=(16,), outcome_widths=(8,), seed=0)
+    raised = []
+    for threshold in (np.inf, 0):
+        monkeypatch.setattr("dragonbench.train.OVERLAP_MIN_WORK", threshold)
+        with np.errstate(all="raise", under="ignore"), pytest.raises(FloatingPointError) as exc:
+            train_dragonnet(toy_data(n=100, seed=10), cfg)
+        raised.append(str(exc.value))
+    assert raised[0] == raised[1] == "overflow encountered in matmul"
+
+
+def test_a_scorer_exits_when_its_parent_end_closes():
+    leaves = [np.zeros((3, 2)), np.ones(5)]
+    scorer = train_module._ForkedScorer(leaves, lambda epoch, views: [epoch, float(views[1].sum())])
+    assert all(view.ctypes.data % 64 == 0 for view in scorer.views)
+    scorer.submit(7, leaves)
+    assert scorer.result() == [7, 5.0]
+    scorer.conn.close()  # no stop message, as when the parent is killed
+    scorer.child.join(timeout=5)
+    assert scorer.child.exitcode == 0
 
 
 def test_divergence_in_an_overlapped_epoch_keeps_the_callers_error_state(monkeypatch):
-    # At this rate epoch 0 scores finite and epoch 1's SGD overflows, on the
-    # worker thread when a spare core exists; an overflow warning there
-    # would surface as the error instead of the typed one.
+    # At this rate epoch 0 scores finite and epoch 1's SGD overflows while a
+    # forked scorer scores epoch 0, when a spare core exists; an overflow
+    # warning there would surface as the error instead of the typed one.
     monkeypatch.setattr("dragonbench.train.OVERLAP_MIN_WORK", 0)
     data = toy_data(n=100, seed=10)
     cfg = TrainConfig(learning_rate=1e4, epochs=30, patience=0, val_fraction=0.0,
@@ -243,6 +318,7 @@ def test_divergence_in_an_overlapped_epoch_keeps_the_callers_error_state(monkeyp
             train_dragonnet(data, cfg)
     assert exc.value.epoch == 1
     assert threading.active_count() == threads
+    assert multiprocessing.active_children() == []
 
 
 # A seeded tiny fit of each architecture and the sha256 of the checkpoint
