@@ -28,6 +28,8 @@ import json
 import mmap
 import multiprocessing
 import os
+import signal
+import sys
 import threading
 from contextlib import closing, nullcontext, suppress
 from dataclasses import dataclass
@@ -37,6 +39,7 @@ from operator import index
 import numpy as np
 
 from . import autodiff as ad
+from .blas import blas_threads
 from .datagen import Dataset
 from .errors import ConfigError, NumericError, TrainingDivergedError
 from .estimators import stationary_epsilon
@@ -167,24 +170,24 @@ def _check_finite(breakdown: LossBreakdown, epoch: int) -> LossBreakdown:
     return breakdown
 
 
-# A fit forks a scorer only when one epoch's scoring reaches this many
-# multiply-adds (scored rows x parameters), which one core scores in about
-# 7 ms: forking and joining the scorer cost 5-7 ms per fit (a tiny 2-epoch
-# fit took 8.5 ms instead of 2.9).  An IHDP-like sweep fit (1e8) qualifies.
+# A fit forks a scorer only when an epoch's scoring reaches this many multiply-adds
+# (scored rows x parameters, about 7 ms on one core), as forking and joining it cost
+# 5-7 ms a fit (2.9 -> 8.5 ms for a tiny 2-epoch fit); a 1e8 IHDP-like sweep fit forks.
 OVERLAP_MIN_WORK = 8e7
 
 
-def _spare_core() -> bool:
-    """True when this process can use a second core: it is the main process
-    (pool workers already fill the cores) and may run on more than one CPU."""
-    affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    return multiprocessing.parent_process() is None and cpus > 1
+def _can_fork() -> bool:
+    """May a scorer be forked onto a second core: in the main process (pool workers fill
+    the cores), on Linux, with OpenBLAS at one thread (other BLAS builds may keep
+    native threads that a fork breaks) and beside no other thread?"""
+    return (sys.platform == "linux" and multiprocessing.parent_process() is None and blas_threads() == 1
+            and threading.active_count() == 1 and len(os.sched_getaffinity(0)) > 1)
 
 
 def _serve(conn, parent_end, score, views):
     """The scorer process: send back score(epoch, views), or what it raised, for
     each epoch received until None; a killed parent's closed end also stops it."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's, which stops this child
     parent_end.close()
     with suppress(EOFError, BrokenPipeError):
         for epoch in iter(conn.recv, None):
@@ -250,12 +253,10 @@ def _sgd_loop(
     of each whole set.  `val` (None when nothing is held out) drives early
     stopping, else the training total does.
 
-    Epoch k is scored (breakdowns and finiteness checks) inline, or by a
-    `_ForkedScorer` when the fit has more than one epoch, the scoring
-    reaches `OVERLAP_MIN_WORK`, `_spare_core()` holds, no other thread runs
-    and `fork` exists.  This process then runs epoch k + 1's SGD meanwhile
-    if epoch k cannot end training.  The permutations drawn, the results and
-    the errors raised, in their order, are the same either way.
+    Epoch k is scored inline, or by a `_ForkedScorer` when the fit has more
+    than one epoch, the scoring reaches `OVERLAP_MIN_WORK` and `_can_fork()`
+    holds; this process then runs epoch k + 1's SGD meanwhile if epoch k
+    cannot end training.  Draws, results and errors, in order, match either way.
     """
     alpha, beta = weights
     scored_sets = (train,) if val is None else (train, val)
@@ -289,8 +290,7 @@ def _sgd_loop(
     n_rows = len(batch_rows)
     ahead = False
     work = sum(len(rows[0]) for rows in scored_sets) * sum(a.size for a in leaves)
-    fork = (cfg.epochs > 1 and work >= OVERLAP_MIN_WORK and _spare_core()
-            and threading.active_count() == 1 and "fork" in multiprocessing.get_all_start_methods())
+    fork = cfg.epochs > 1 and work >= OVERLAP_MIN_WORK and _can_fork()
     with closing(_ForkedScorer(leaves, score)) if fork else nullcontext() as scorer:
         for epoch in range(cfg.epochs):
             if not ahead:
