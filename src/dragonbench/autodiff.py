@@ -86,9 +86,9 @@ class Var:
     # to ufunc-broadcast over Var objects.
     __array_ufunc__ = None
 
-    def __init__(self, value, _parents=()):
+    def __init__(self, value):
         self.value = np.asarray(value, dtype=np.float64)
-        self._parents = _parents
+        self._parents = ()
 
     def __add__(self, other):
         return add(self, other)

@@ -26,7 +26,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields, replace
 from itertools import islice
-from operator import index
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +55,7 @@ from .estimators import (
 )
 from .models import ARCHITECTURES, FittedModel
 from .objectives import select_observed
-from .schema import check_bools, check_keys, config_values, plain
+from .schema import as_count, as_number, check_bools, check_keys, config_values, plain
 from .train import TrainConfig, train_architecture
 
 ARCH_ORACLE = "oracle"
@@ -127,16 +126,16 @@ class ExperimentConfig:
             raise ConfigError(f"{self.architecture} does not take the targeted-regularization term")
         if self.treg and self.beta == 0:
             raise ConfigError("treg needs beta > 0")
-        if index(self.replications) < 1:
+        if as_count(self.replications, "replications") < 1:
             raise ConfigError("replications must be >= 1")
-        if index(self.base_seed) < 0:
+        if as_count(self.base_seed, "base_seed") < 0:
             raise ConfigError("base_seed must be >= 0")
-        if index(self.workers) < 1:
+        if as_count(self.workers, "workers") < 1:
             raise ConfigError("workers must be >= 1")
-        object.__setattr__(self, "trim", tuple(float(q) for q in self.trim))
+        object.__setattr__(self, "trim", tuple(as_number(q, "trim bound") for q in self.trim))
         if len(self.trim) != 2 or not 0.0 <= self.trim[0] < self.trim[1] <= 1.0:
             raise ConfigError(f"trim bounds must satisfy 0 <= low < high <= 1, got {self.trim}")
-        object.__setattr__(self, "split", tuple(float(q) for q in self.split))
+        object.__setattr__(self, "split", tuple(as_number(q, "split proportion") for q in self.split))
         if len(self.split) != 3:
             raise ConfigError("split needs (train, validation, test) proportions")
         SplitSpec(*self.split)
@@ -262,8 +261,8 @@ def make_dataset(dgp: dict, rng: np.random.Generator, replication: int) -> Datas
     """Draw one replication's dataset from a `dgp` spec.
 
     A generator kind takes its generator's parameters, bar `rng`, as keys,
-    with the defaults of DGP_GENERATORS or else of the generator; a missing,
-    malformed or unknown key, or a float one that is not finite, is a
+    with the defaults of DGP_GENERATORS or else of the generator; a missing
+    or unknown key, or a value that `as_count` or `as_number` refuses, is a
     ConfigError that names it, and so is a `dgp` that is not a dict.
     """
     if not isinstance(dgp, dict):
@@ -289,10 +288,9 @@ def make_dataset(dgp: dict, rng: np.random.Generator, replication: int) -> Datas
     kwargs = {}
     for name, param in params.items():
         if name in spec:
+            read = as_count if param.annotation is int else as_number
             with config_values(f"{kind} dgp key {name!r}"):
-                kwargs[name] = param.annotation(spec[name])
-            if param.annotation is float and not np.isfinite(kwargs[name]):
-                raise ConfigError(f"{kind} dgp key {name!r} is not finite: {spec[name]!r}")
+                kwargs[name] = read(spec[name], f"{kind} dgp key {name!r}")
         elif param.default is param.empty:
             raise ConfigError(f"{kind} dgp needs the key {name!r}")
     return generator(rng=rng, **kwargs)
@@ -432,17 +430,20 @@ def run_replication(
     return runs
 
 
+def _usable_errors(runs, tag: str, scope: str) -> dict[int, float]:
+    """{replication: absolute error of `tag` in `scope`} over the usable runs
+    that have one, in run order."""
+    return {r.replication: r.abs_errors[scope][tag] for r in runs
+            if r.usable() and tag in r.abs_errors.get(scope, {})}
+
+
 def summarize(
     config: ExperimentConfig, runs, scope: str = SUMMARY_SCOPE
 ) -> SummaryTable:
     """Mean absolute error per estimator over usable runs, in seed order."""
     rows = []
     for tag in config.estimator_tags():
-        errs = [
-            r.abs_errors[scope][tag]
-            for r in runs
-            if r.usable() and tag in r.abs_errors.get(scope, {})
-        ]
+        errs = list(_usable_errors(runs, tag, scope).values())
         k = len(errs)
         if k == 0:
             continue
@@ -505,21 +506,10 @@ def paired_headline_errors(
 ) -> tuple[list[float], list[float]]:
     """Headline-estimator errors aligned by replication, keeping pairs where
     both runs are usable."""
-    tag_a = result_a.config.headline_tag()
-    tag_b = result_b.config.headline_tag()
-    by_rep_b = {r.replication: r for r in result_b.runs}
-    errs_a, errs_b = [], []
-    for ra in result_a.runs:
-        rb = by_rep_b.get(ra.replication)
-        if rb is None or not (ra.usable() and rb.usable()):
-            continue
-        ea = ra.abs_errors.get(scope, {}).get(tag_a)
-        eb = rb.abs_errors.get(scope, {}).get(tag_b)
-        if ea is None or eb is None:
-            continue
-        errs_a.append(ea)
-        errs_b.append(eb)
-    return errs_a, errs_b
+    errs_a = _usable_errors(result_a.runs, result_a.config.headline_tag(), scope)
+    errs_b = _usable_errors(result_b.runs, result_b.config.headline_tag(), scope)
+    both = [rep for rep in errs_a if rep in errs_b]
+    return [errs_a[rep] for rep in both], [errs_b[rep] for rep in both]
 
 
 def run_grid(
@@ -604,8 +594,12 @@ def _write_report(out_dir, csv_name, json_name, results: dict, key_column, bundl
     The CSV has one line per summary row of each result in `results`; with
     a `key_column`, each line starts with the result's key.  The bundle
     gains a top-level "blas_threads": the OpenBLAS thread count the run
-    computed with, or null when it is unknown.
+    computed with, or null when it is unknown.  Refuses to write anything
+    when there are no summary rows, so a failed run never leaves a
+    half-report behind.
     """
+    if not any(res.summary.rows for res in results.values()):
+        raise ConfigError("nothing to report: no usable runs")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path, json_path = out_dir / csv_name, out_dir / json_name
@@ -621,14 +615,8 @@ def _write_report(out_dir, csv_name, json_name, results: dict, key_column, bundl
 
 
 def emit_report(results: "ExperimentResult | GridResult", out_dir) -> dict[str, Path]:
-    """Write summary.csv and runs.json under out_dir; returns the paths.
-
-    Refuses to write anything when there are no summary rows, so a failed
-    experiment never leaves a half-report behind.
-    """
+    """Write summary.csv and runs.json under out_dir; returns the paths."""
     methods = _by_method(results)
-    if not any(res.summary.rows for res in methods.values()):
-        raise ConfigError("nothing to report: no usable runs")
     bundle = {"methods": plain(methods)}
     if isinstance(results, GridResult):
         bundle.update(baseline=results.baseline, comparisons=plain(results.comparisons))
@@ -649,8 +637,6 @@ def load_report(runs_path) -> dict[str, ExperimentResult]:
 
 def emit_sweep_report(sweep: dict, out_dir, kind: str) -> dict[str, Path]:
     """Long-format CSV + JSON bundle for a sweep keyed by rate or trim level."""
-    if not sweep:
-        raise ConfigError("empty sweep")
     levels = {_sweep_label(key): res for key, res in sweep.items()}
     csv_path, json_path = _write_report(out_dir, f"{kind}_sweep.csv", f"{kind}_sweep.json", levels,
                                         "sweep", {"kind": kind, "levels": plain(levels)})

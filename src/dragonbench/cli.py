@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -53,18 +53,15 @@ def _parse_levels(text: str) -> list[tuple[float, float]]:
     return [_parse_pair(chunk, ":") for chunk in text.split(",")]
 
 
+def _parse_tags(text: str) -> tuple[str, ...]:
+    return tuple(text.split(","))
+
+
 def _load_config(args) -> ExperimentConfig:
     """The config file with the command-line overrides applied before it is
     checked, so a value checks the same in the file as given as a flag."""
-    overrides = {}
-    for name in ("architecture", "treg", "alpha", "beta", "trim", "replications", "workers"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "seed", None) is not None:
-        overrides["base_seed"] = args.seed
-    if getattr(args, "estimators", None):
-        overrides["estimators"] = tuple(args.estimators.split(","))
+    overrides = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+                 if getattr(args, f.name, None) is not None}
     with open(args.config) as fh, config_values(f"config file {args.config}"):
         return ExperimentConfig.from_dict({**json.load(fh), **overrides})
 
@@ -77,9 +74,9 @@ def _add_bench_flags(sub):
     sub.add_argument("--alpha", type=float)
     sub.add_argument("--beta", type=float)
     sub.add_argument("--replications", type=int)
-    sub.add_argument("--seed", type=int)
+    sub.add_argument("--seed", dest="base_seed", type=int)
     sub.add_argument("--workers", type=int)
-    sub.add_argument("--estimators", help="comma-separated subset of Q,AIPTW,TMLE,TREG")
+    sub.add_argument("--estimators", type=_parse_tags, help="comma-separated subset of Q,AIPTW,TMLE,TREG")
     sub.add_argument("--out-dir", help="write summary.csv and runs.json here")
 
 
@@ -105,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--checkpoint", required=True)
     est.add_argument("--data", required=True)
     est.add_argument("--trim", type=_parse_pair, default=(0.01, 0.99), metavar="LOW,HIGH")
-    est.add_argument("--estimators", help="comma-separated subset of Q,AIPTW,TMLE,TREG")
+    est.add_argument("--estimators", type=_parse_tags, help="comma-separated subset of Q,AIPTW,TMLE,TREG")
 
     bench = subs.add_parser("bench", help="replicated experiment (one method or a grid)")
     _add_bench_flags(bench)
@@ -163,9 +160,8 @@ def _cmd_train(args) -> int:
 def _cmd_estimate(args) -> int:
     model = load_checkpoint(args.checkpoint)
     dataset = load_csv(args.data)
-    tags = tuple(args.estimators.split(",")) if args.estimators else None
     reports = apply_estimators(
-        model, dataset.X, dataset.t.astype(np.float64), dataset.y, args.trim, tags
+        model, dataset.X, dataset.t.astype(np.float64), dataset.y, args.trim, args.estimators
     )
     truth = dataset.sample_ate
     for tag, report in reports.items():

@@ -254,14 +254,9 @@ def write_csv(dataset: Dataset, path) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(csv_header(dataset.p, with_mu))
-        for i in range(dataset.n):
-            row = [repr(float(v)) for v in dataset.X[i]]
-            row.append(str(int(dataset.t[i])))
-            row.append(repr(float(dataset.y[i])))
-            if with_mu:
-                row.append(repr(float(dataset.mu0[i])))
-                row.append(repr(float(dataset.mu1[i])))
-            writer.writerow(row)
+        outcomes = np.column_stack([dataset.y, dataset.mu0, dataset.mu1] if with_mu else [dataset.y])
+        for x, t, ys in zip(dataset.X.tolist(), dataset.t.tolist(), outcomes.tolist()):
+            writer.writerow([*map(repr, x), str(t), *map(repr, ys)])
 
 
 def load_csv(path) -> Dataset:
@@ -287,7 +282,7 @@ def load_csv(path) -> Dataset:
                 f"x0..x{{p-1}},t,y[,mu0,mu1]"
             )
         width = len(expected)
-        rows_x, rows_t, rows_y, rows_mu0, rows_mu1 = [], [], [], [], []
+        rows: list[list[float]] = []
         bad: list[tuple[int, str]] = []
         for line_no, row in enumerate(reader, start=2):
             if not row:
@@ -307,24 +302,15 @@ def load_csv(path) -> Dataset:
             if t_val not in (0.0, 1.0):
                 bad.append((line_no, f"t must be 0 or 1, got {row[n_x]}"))
                 continue
-            rows_x.append(values[:n_x])
-            rows_t.append(int(t_val))
-            rows_y.append(values[n_x + 1])
-            if with_mu:
-                rows_mu0.append(values[n_x + 2])
-                rows_mu1.append(values[n_x + 3])
+            rows.append(values)
     if bad:
         details = "; ".join(f"line {ln}: {msg}" for ln, msg in bad)
         raise IngestionError(f"{path}: {details}", lines=[ln for ln, _ in bad])
-    if not rows_x:
+    if not rows:
         raise IngestionError(f"{path}: no data rows")
-    return Dataset(
-        X=np.asarray(rows_x, dtype=np.float64),
-        t=np.asarray(rows_t, dtype=np.int64),
-        y=np.asarray(rows_y, dtype=np.float64),
-        mu0=np.asarray(rows_mu0, dtype=np.float64) if with_mu else None,
-        mu1=np.asarray(rows_mu1, dtype=np.float64) if with_mu else None,
-    )
+    table = np.asarray(rows, dtype=np.float64)
+    t, y, *mu = np.ascontiguousarray(table[:, n_x:].T)  # contiguous t, y[, mu0, mu1] columns
+    return Dataset(np.ascontiguousarray(table[:, :n_x]), t.astype(np.int64), y, *mu)
 
 
 # --- splitting --------------------------------------------------------------

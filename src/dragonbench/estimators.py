@@ -266,15 +266,13 @@ def apply_estimators(
     q0, q1, g, tk, yk = _nuisances(*preds, t[tr.kept], y[tr.kept])
     reports: dict[str, EstimateReport] = {}
     for tag in estimators:
-        if tag == TAG_Q:
-            psi = psi_q(q0, q1)
-            iv = _influence(q0, q1, g, tk, yk, psi)
-        elif tag == TAG_AIPTW:
+        if tag == TAG_AIPTW:
             psi, iv = psi_aiptw(q0, q1, g, tk, yk)
-        elif tag == TAG_TMLE:
-            psi, iv, _ = psi_tmle(q0, q1, g, tk, yk)
-        else:
-            psi, iv = psi_treg(q0, q1, g, tk, yk, model.epsilon_hat)
+        else:  # Q, TREG, TMLE: the plug-in of Q + eps * H at eps = 0, the trained eps, eps*
+            eps = 0.0 if tag == TAG_Q else model.epsilon_hat
+            if tag == TAG_TMLE:
+                eps = stationary_epsilon(yk, select_observed(q0, q1, tk), tk, g)
+            psi, iv = _perturbed(q0, q1, g, tk, yk, eps)
         reports[tag] = EstimateReport(
             estimator_tag=tag,
             psi_hat=psi,

@@ -33,7 +33,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, NumericError, ShapeError, UsageError
 from .nn import DenseLayer, apply_stack, float_array, init_params
-from .schema import config_values, plain
+from .schema import as_number, config_values, plain
 
 ARCH_DRAGONNET = "dragonnet"
 ARCH_TARNET = "tarnet"
@@ -128,17 +128,6 @@ def init_network(
     return ThreeHeadNet(shared, head0, head1, propensity, g_reads_x)
 
 
-def _number(value, name: str) -> float:
-    """`value` as a finite float; ConfigError naming `name` otherwise."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError) as err:
-        raise ConfigError(f"{name} is not a number: {value!r}") from err
-    if not np.isfinite(number):
-        raise ConfigError(f"{name} is not finite: {value!r}")
-    return number
-
-
 @dataclass(frozen=True)
 class Scaler:
     """Column-standardization fitted on the training sample.
@@ -152,9 +141,10 @@ class Scaler:
     y_mean: float
     y_std: float
 
+    @config_values("scaler")
     def __post_init__(self):
         for key, convert in (("x_mean", float_array), ("x_std", float_array),
-                             ("y_mean", _number), ("y_std", _number)):
+                             ("y_mean", as_number), ("y_std", as_number)):
             object.__setattr__(self, key, convert(getattr(self, key), f"scaler {key}"))
         if self.x_mean.ndim != 1 or self.x_std.shape != self.x_mean.shape:
             raise ShapeError("scaler x_mean and x_std must be rows of one width")
@@ -245,18 +235,16 @@ class FittedModel:
         oracle benchmarking where true mu0/mu1 and g are known per row; it
         has no trained fluctuation: epsilon_hat is 0 and treg False.
         """
-        X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
+        X = np.ascontiguousarray(X, dtype=np.float64)
         table = {X[i].tobytes(): i for i in range(X.shape[0])}
         values = [np.asarray(v, dtype=np.float64) for v in (q0_values, q1_values, g_values)]
 
         def predict(Xq):
-            Xq = np.ascontiguousarray(np.asarray(Xq, dtype=np.float64))
-            idx = np.empty(Xq.shape[0], dtype=np.intp)
-            for i in range(Xq.shape[0]):
-                j = table.get(Xq[i].tobytes())
-                if j is None:
-                    raise UsageError("row not present in the oracle lookup table")
-                idx[i] = j
+            try:
+                idx = np.array([table[row.tobytes()]
+                                for row in np.ascontiguousarray(Xq, dtype=np.float64)], dtype=np.intp)
+            except KeyError:
+                raise UsageError("row not present in the oracle lookup table") from None
             return tuple(v[idx] for v in values)
 
         return cls(
@@ -365,7 +353,7 @@ def load_checkpoint(path) -> FittedModel:
     try:
         net = ThreeHeadNet(**layers, g_reads_x=arch == ARCH_TARNET)
         scaler = Scaler(sc["x_mean"], sc["x_std"], sc["y_mean"], sc["y_std"])
-        epsilon_hat = _number(obj["epsilon_hat"], "epsilon_hat")
+        epsilon_hat = as_number(obj["epsilon_hat"], "epsilon_hat")
     except (ConfigError, ShapeError) as err:
         raise type(err)(f"checkpoint {err}") from err
     if scaler.x_mean.shape != (net.shared[0].in_dim,):

@@ -2,14 +2,15 @@
 
 `plain` is the one dataclass -> JSON mapping, so a config's, a result's or
 a checkpoint section's JSON keys are its field names in declaration order.
-In the other direction `check_keys`, `check_bools` and `config_values` turn
-malformed input into ConfigError.
+In the other direction `check_keys`, `check_bools`, `as_count`, `as_number`
+and `config_values` turn malformed input into ConfigError.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -58,3 +59,19 @@ def check_bools(obj) -> None:
         value = getattr(obj, f.name)
         if f.type in ("bool", bool) and not isinstance(value, bool):
             raise TypeError(f"{f.name} must be true or false, got {value!r}")
+
+
+def as_count(value, name: str) -> int:
+    """`value` as an int; TypeError naming `name` unless it is a non-bool integer."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise TypeError(f"{name} is not an integer: {value!r}")
+    return int(value)
+
+
+def as_number(value, name: str) -> float:
+    """`value` as a float; TypeError naming `name` unless a non-bool real, ConfigError unless finite."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise TypeError(f"{name} is not a number: {value!r}")
+    if not np.isfinite(float(value)):
+        raise ConfigError(f"{name} is not finite: {value!r}")
+    return float(value)

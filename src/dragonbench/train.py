@@ -34,7 +34,6 @@ import threading
 from contextlib import closing, nullcontext, suppress
 from dataclasses import dataclass
 from functools import partial
-from operator import index
 
 import numpy as np
 
@@ -64,7 +63,7 @@ from .objectives import (
     treg_term,
     weighted_total,
 )
-from .schema import check_bools, check_keys, config_values, plain
+from .schema import as_count, as_number, check_bools, check_keys, config_values, plain
 
 # Each nednet phase fits one term: (alpha, beta) = (1, 0) makes its total
 # that term alone.
@@ -111,13 +110,13 @@ class TrainConfig:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         object.__setattr__(self, "shared_widths", tuple(self.shared_widths))
         object.__setattr__(self, "outcome_widths", tuple(self.outcome_widths))
-        if index(self.batch_size) < 1:
+        if as_count(self.batch_size, "batch_size") < 1:
             raise ConfigError("batch_size must be >= 1")
-        if index(self.epochs) < 0:
+        if as_count(self.epochs, "epochs") < 0:
             raise ConfigError("epochs must be >= 0")
-        if index(self.patience) < 0:
+        if as_count(self.patience, "patience") < 0:
             raise ConfigError("patience must be >= 0")
-        if self.seed is not None and index(self.seed) < 0:
+        if self.seed is not None and as_count(self.seed, "seed") < 0:
             raise ConfigError("seed must be >= 0")
         if not 0.0 <= self.val_fraction <= 0.5:
             raise ConfigError(f"val_fraction must be in [0, 0.5], got {self.val_fraction}")
@@ -125,8 +124,10 @@ class TrainConfig:
             raise ConfigError(f"h_clip must be in (0, 0.5), got {self.h_clip}")
         if not self.shared_widths or not self.outcome_widths:
             raise ConfigError("shared_widths and outcome_widths must be nonempty")
-        if any(index(w) < 1 for w in (*self.shared_widths, *self.outcome_widths)):
+        if any(as_count(w, "layer width") < 1 for w in (*self.shared_widths, *self.outcome_widths)):
             raise ConfigError("layer widths must be positive")
+        for name in ("alpha", "beta", "learning_rate", "momentum", "val_fraction", "h_clip"):
+            as_number(getattr(self, name), name)  # the range checks above let a bool through
 
     @classmethod
     @config_values("train config")

@@ -168,6 +168,15 @@ WRONGLY_TYPED = {
     "no-dgp": {"dgp": None},  # None drops the key
     "treg-string": {"treg": "false"},
     "standardize-string": {"train": {"standardize": "no"}},
+    "epochs-bool": {"train": {"epochs": True}},
+    "replications-bool": {"replications": True},
+    "workers-bool": {"workers": True},
+    "base-seed-bool": {"base_seed": False},
+    "alpha-bool": {"alpha": True},
+    "beta-bool": {"beta": True},
+    "trim-strings": {"trim": ["0.01", "0.99"]},
+    "trim-bools": {"trim": [False, True]},
+    "split-strings": {"split": ["0.7", "0.2", "0.1"]},
 }
 
 
@@ -216,16 +225,34 @@ def test_make_dataset_kinds():
     ({"kind": "lin", "n": 40, "p": 3, "noise": 1.0}, "unknown lin dgp keys: noise$"),
     ({"kind": "csv", "paths": ["a.csv"], "path": "a.csv"}, "unknown csv dgp keys: path$"),
     ({"kind": "lin", "n": 40, "p": 3, "tau": float("nan")}, "lin dgp key 'tau' is not finite"),
-    ({"kind": "ihdp_like", "target_sample_ate": "-inf"}, "key 'target_sample_ate' is not finite"),
+    ({"kind": "ihdp_like", "target_sample_ate": float("-inf")}, "key 'target_sample_ate' is not finite"),
     ({"kind": "lin", "n": float("inf"), "p": 3}, "malformed lin dgp key 'n'"),
+    ({"kind": "lin", "n": 100.7, "p": 3}, "malformed lin dgp key 'n'"),
+    ({"kind": "lin", "n": True, "p": 3}, "malformed lin dgp key 'n'"),
+    ({"kind": "lin", "n": "100", "p": 3}, "malformed lin dgp key 'n'"),
+    ({"kind": "lin", "n": 40, "p": 2.9}, "malformed lin dgp key 'p'"),
+    ({"kind": "lin", "n": 40, "p": 3, "tau": "1.5"}, "malformed lin dgp key 'tau'"),
+    ({"kind": "lin", "n": 40, "p": 3, "tau": True}, "malformed lin dgp key 'tau'"),
+    ({"kind": "ihdp_like", "target_sample_ate": "-inf"}, "malformed ihdp_like dgp key 'target_sample_ate'"),
     ({"kind": "csv", "paths": "B/d.csv"}, "csv dgp needs 'paths'"),
     ({"kind": "csv", "paths": [3]}, "csv dgp needs 'paths'"),
     ({"kind": "csv", "paths": []}, "csv dgp needs 'paths'"),
 ], ids=["missing", "malformed", "irrelevant-missing", "unknown", "csv-unknown", "nan",
-        "infinite", "infinite-count", "csv-paths-string", "csv-paths-number", "csv-paths-empty"])
+        "infinite", "infinite-count", "fractional-count", "bool-count", "string-count",
+        "fractional-p", "string-number", "bool-number", "string-infinite",
+        "csv-paths-string", "csv-paths-number", "csv-paths-empty"])
 def test_bad_dgp_keys_raise_config_error_naming_the_key(dgp, match):
     with pytest.raises(ConfigError, match=match):
         make_dataset(dgp, np.random.default_rng(0), 0)
+
+
+def test_integers_are_taken_where_numbers_are_expected():
+    as_float = make_dataset({"kind": "lin", "n": 30, "p": 2, "tau": 2.0}, np.random.default_rng(0), 0)
+    as_int = make_dataset({"kind": "lin", "n": 30, "p": 2, "tau": 2}, np.random.default_rng(0), 0)
+    assert np.array_equal(as_float.y, as_int.y) and np.array_equal(as_float.mu1, as_int.mu1)
+    cfg = tiny_config(trim=[0, 1], split=[1, 0, 0])
+    assert (cfg.trim, cfg.split) == ((0.0, 1.0), (1.0, 0.0, 0.0))
+    assert all(type(q) is float for q in (*cfg.trim, *cfg.split))
 
 
 def test_make_dataset_csv_mode_maps_replications_to_paths(tmp_path):
@@ -834,7 +861,7 @@ def test_emit_sweep_report(tmp_path):
     assert bundle["kind"] == "trim"
     assert set(bundle["levels"]) == {"0.01:0.99", "0.1:0.9"}
     assert bundle["blas_threads"] == blas_threads()
-    with pytest.raises(ConfigError, match="empty sweep"):
+    with pytest.raises(ConfigError, match="nothing to report: no usable runs"):
         emit_sweep_report({}, tmp_path / "empty", "trim")
     assert not (tmp_path / "empty").exists()
 

@@ -1,11 +1,14 @@
 """End-to-end command invocations through main()."""
 
+import argparse
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from dragonbench.cli import main
+from dragonbench.bench import ExperimentConfig
+from dragonbench.cli import _add_bench_flags, main
 from dragonbench.datagen import load_csv
 
 TINY_TRAIN = {"epochs": 2, "patience": 0, "val_fraction": 0.0,
@@ -90,6 +93,9 @@ def test_estimate_subset_of_estimators(tmp_path, capsys):
           "--estimators", "Q,TMLE"])
     lines = capsys.readouterr().out.strip().splitlines()
     assert {json.loads(l)["estimator_tag"] for l in lines} == {"Q", "TMLE"}
+    rc = main(["estimate", "--checkpoint", str(ckpt), "--data", str(data_path), "--estimators", ""])
+    assert rc == 2  # an empty list is refused, as bench refuses it
+    assert "unknown estimator tags: ['']" in capsys.readouterr().err
 
 
 def test_bench_single_method(tmp_path, capsys):
@@ -201,6 +207,30 @@ def test_options_that_would_change_nothing_are_refused(tmp_path, capsys, argv, f
     assert flag in line
 
 
+def test_bench_flags_override_experiment_config_fields():
+    # _load_config reads the overrides by ExperimentConfig field name, so a
+    # flag whose dest is not a field would be dropped without a word.
+    parser = argparse.ArgumentParser()
+    _add_bench_flags(parser)
+    dests = {a.dest for a in parser._actions} - {"help", "config", "out_dir"}
+    assert dests <= {f.name for f in fields(ExperimentConfig)}
+
+
+def test_bench_with_empty_estimators_exits_with_code_two(tmp_path, capsys):
+    rc = main(["bench", "--config", write_config(tmp_path), "--estimators", ""])
+    assert rc == 2
+    assert "unknown estimator tags ['']" in capsys.readouterr().err
+
+
+def test_sweep_trim_that_trims_every_row_reports_nothing(tmp_path, capsys):
+    out_dir = tmp_path / "sw"
+    rc = main(["sweep-trim", "--config", write_config(tmp_path, replications=1),
+               "--levels", "0.0:0.001", "--out-dir", str(out_dir)])
+    assert rc == 2
+    assert "nothing to report: no usable runs" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_config_errors_exit_with_code_two(tmp_path, capsys):
     cfg = write_config(tmp_path, architecture="nednet", treg=True)
     rc = main(["bench", "--config", cfg])
@@ -238,7 +268,8 @@ def test_config_typo_exits_with_code_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("override", [{"replications": "2"}, {"trim": 0.5},
-                                      {"train": {**TINY_TRAIN, "epochs": "10"}}, None])
+                                      {"train": {**TINY_TRAIN, "epochs": "10"}}, None,
+                                      {"train": {**TINY_TRAIN, "epochs": True}}])
 def test_wrongly_typed_config_exits_with_code_two(tmp_path, capsys, override):
     cfg = write_config(tmp_path, **(override or {}))
     if override is None:  # not JSON: the file is cut off after its dgp entry

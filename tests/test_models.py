@@ -178,6 +178,18 @@ def test_from_values_rejects_unknown_rows():
     model = FittedModel.from_values(X, np.zeros(1), np.ones(1), np.full(1, 0.5))
     with pytest.raises(UsageError):
         model.q0(np.array([[9.0, 9.0]]))
+    with pytest.raises(UsageError, match="row not present"):
+        model.predict(np.array([[1.0, 2.0], [9.0, 9.0]]))
+
+
+def test_from_values_predicts_zero_rows_as_three_empty_arrays():
+    X = np.array([[1.0, 2.0], [3.0, 4.0]])
+    model = FittedModel.from_values(X, np.zeros(2), np.ones(2), np.full(2, 0.5))
+    preds = model.predict(np.empty((0, 2)))
+    assert len(preds) == 3
+    assert all(p.shape == (0,) and p.dtype == np.float64 for p in preds)
+    q0, q1, g = model.predict(X[::-1])  # a strided view looks up like its copy
+    assert (q0.tolist(), q1.tolist(), g.tolist()) == ([0.0, 0.0], [1.0, 1.0], [0.5, 0.5])
 
 
 def test_from_functions_passthrough():

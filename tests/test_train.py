@@ -511,7 +511,13 @@ def test_config_typo_names_the_unknown_key():
 
 
 @pytest.mark.parametrize("field, value", [("epochs", "10"), ("epochs", 10.0),
-                                          ("shared_widths", 32), ("seed", "1")])
+                                          ("shared_widths", 32), ("seed", "1"),
+                                          ("epochs", True), ("batch_size", True),
+                                          ("patience", False), ("seed", True),
+                                          ("shared_widths", (True,)), ("outcome_widths", (4, 2.0)),
+                                          ("alpha", True), ("beta", True),
+                                          ("learning_rate", True), ("momentum", False),
+                                          ("val_fraction", False)])
 def test_wrongly_typed_train_config_is_a_config_error(field, value):
     with pytest.raises(ConfigError, match="malformed"):
         TrainConfig(**{field: value})
