@@ -67,13 +67,9 @@ from .estimators import (
     TrimResult,
     apply_estimators,
     diff_in_means,
-    influence_curve,
+    estimate,
     overlap_flag,
     propensity_accuracy,
-    psi_aiptw,
-    psi_q,
-    psi_tmle,
-    psi_treg,
     stationary_epsilon,
     trim,
 )

@@ -52,6 +52,7 @@ from .estimators import (
     diff_in_means,
     overlap_flag,
     propensity_accuracy,
+    read_trim_bounds,
 )
 from .models import ARCHITECTURES, FittedModel
 from .objectives import select_observed
@@ -132,9 +133,7 @@ class ExperimentConfig:
             raise ConfigError("base_seed must be >= 0")
         if as_count(self.workers, "workers") < 1:
             raise ConfigError("workers must be >= 1")
-        object.__setattr__(self, "trim", tuple(as_number(q, "trim bound") for q in self.trim))
-        if len(self.trim) != 2 or not 0.0 <= self.trim[0] < self.trim[1] <= 1.0:
-            raise ConfigError(f"trim bounds must satisfy 0 <= low < high <= 1, got {self.trim}")
+        object.__setattr__(self, "trim", read_trim_bounds(self.trim))
         object.__setattr__(self, "split", tuple(as_number(q, "split proportion") for q in self.split))
         if len(self.split) != 3:
             raise ConfigError("split needs (train, validation, test) proportions")
@@ -341,7 +340,7 @@ def _predict_once(model: FittedModel) -> FittedModel:
 
 @config_values("subsample rate")
 def _subsample_rate(rate) -> float:
-    if not 0.0 < float(rate) <= 1.0:
+    if not 0.0 < as_number(rate, "subsample rate") <= 1.0:
         raise ConfigError(f"subsample rate must be in (0, 1], got {rate}")
     return float(rate)
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .autodiff import stable_sigmoid
 from .errors import ConfigError, IngestionError, ShapeError
+from .schema import as_number, config_values
 
 
 @dataclass(frozen=True)
@@ -324,9 +325,10 @@ class SplitSpec:
     test: float
     seed: int = 0
 
+    @config_values("split spec")
     def __post_init__(self):
         for name in ("train", "validation", "test"):
-            if getattr(self, name) < 0:
+            if as_number(getattr(self, name), f"{name} proportion") < 0:
                 raise ConfigError(f"{name} proportion must be >= 0")
         total = self.train + self.validation + self.test
         if abs(total - 1.0) > 1e-9:

@@ -1,20 +1,20 @@
 """Average-treatment-effect estimators over a fitted outcome/propensity model.
 
-Given the arrays q0, q1 (outcome predictions), g (propensities), t and y
-of one row set, the package exposes the classical estimator family:
+`estimate` takes the arrays q0, q1 (outcome predictions), g (propensities),
+t and y of one row set and returns {tag: (psi_hat, InfluenceValues)} for
+the classical estimator family:
 
-  psi_q      plug-in mean of Q(1, x) - Q(0, x)
-  psi_aiptw  plug-in plus the inverse-propensity residual correction;
-             solves the estimating equation mean(phi) = 0 by construction
-  psi_tmle   one-step targeted update: a closed-form fluctuation epsilon
-             moves Q along the clever covariate before plugging in
-  psi_treg   plug-in over the perturbed outcome using the epsilon trained
-             jointly with the network
+  Q      plug-in mean of Q(1, x) - Q(0, x)
+  AIPTW  plug-in plus the inverse-propensity residual correction;
+         solves the estimating equation mean(phi) = 0 by construction
+  TMLE   one-step targeted update: a closed-form fluctuation epsilon
+         moves Q along the clever covariate before plugging in
+  TREG   plug-in over the perturbed outcome using the epsilon trained
+         jointly with the network
 
-All estimators are pure functions of those arrays and expect pre-trimmed
-inputs: run `trim` on the propensity scores first and feed every
-estimator the same retained rows, which is what `apply_estimators` does
-with one `FittedModel.predict` per row set.
+The estimates expect pre-trimmed inputs: run `trim` on the propensity
+scores first and feed every estimator the same retained rows, which is
+what `apply_estimators` does with one `FittedModel.predict` per row set.
 
 Each public function checks its arrays once, through `_checked`, and the
 influence curve is written once, in `_influence`, for checked arrays.
@@ -23,13 +23,14 @@ influence curve is written once, in `_influence`, for checked arrays.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EstimationError, NumericDomainError, NumericError, ShapeError, UsageError
 from .objectives import h_values, select_observed
-from .schema import check_keys, config_values
+from .schema import as_number, check_keys, config_values
 
 OVERLAP_ACCURACY_THRESHOLD = 0.90
 
@@ -76,12 +77,14 @@ class EstimateReport:
 
 
 def _checked(**arrays) -> list[np.ndarray]:
-    """The arrays as 1-d float64, refused unless they have one length, an
-    array named `t` holds only 0 and 1, and one named `g` lies inside (0, 1)."""
+    """The arrays as finite 1-d float64 of one length, refused unless an array
+    named `t` holds only 0 and 1 and one named `g` lies inside (0, 1)."""
     out = {name: np.asarray(a, dtype=np.float64) for name, a in arrays.items()}
     for name, a in out.items():
         if a.ndim != 1:
             raise ShapeError(f"{name} must be 1-d, got shape {a.shape}")
+        if not np.isfinite(a).all():
+            raise NumericDomainError(f"{name} must be finite")
     lengths = {name: len(a) for name, a in out.items()}
     if len(set(lengths.values())) != 1:
         raise ShapeError(f"length mismatch: {lengths}")
@@ -97,14 +100,22 @@ def _check_rows(n: int, context: str):
         raise EstimationError(f"{context}: no rows to estimate from")
 
 
+def read_trim_bounds(bounds) -> tuple[float, float]:
+    """`bounds` as (low, high), each read by `as_number`; NumericDomainError
+    unless they are two numbers with 0 <= low < high <= 1."""
+    with suppress(TypeError, ValueError):
+        lo, hi = (as_number(b, "trim bound") for b in bounds)
+        if 0.0 <= lo < hi <= 1.0:
+            return lo, hi
+    raise NumericDomainError(f"trim bounds must satisfy 0 <= low < high <= 1, got {bounds!r}")
+
+
 def trim(g_values, bounds=(0.01, 0.99)) -> TrimResult:
     """Indices of rows whose propensity lies inside [low, high], inclusive."""
     [g] = _checked(g_values=g_values)
     if ((g < 0.0) | (g > 1.0)).any():
         raise NumericDomainError("g_values must lie in [0, 1]")
-    lo, hi = float(bounds[0]), float(bounds[1])
-    if not (0.0 <= lo < hi <= 1.0):
-        raise NumericDomainError(f"trim bounds must satisfy 0 <= low < high <= 1, got {bounds}")
+    lo, hi = read_trim_bounds(bounds)
     kept = np.flatnonzero((g >= lo) & (g <= hi))
     return TrimResult(
         kept=kept,
@@ -138,22 +149,10 @@ def diff_in_means(t, y) -> float:
     return float(y[treated].mean() - y[~treated].mean())
 
 
-def _nuisances(q0, q1, g, t, y) -> list[np.ndarray]:
-    """The checked arrays (q0, q1, g, t, y) of one nonempty row set."""
-    arrays = _checked(q0=q0, q1=q1, g=g, t=t, y=y)
-    _check_rows(len(arrays[0]), "estimator input")
-    return arrays
-
-
 def _influence(q0, q1, g, t, y, psi: float) -> InfluenceValues:
-    """`influence_curve` of arrays already checked."""
+    """phi_i = q1_i - q0_i + H(t_i, g_i) * (y_i - q_{t_i}) - psi, for checked arrays."""
     phi = q1 - q0 + h_values(t, g) * (y - select_observed(q0, q1, t)) - float(psi)
     return InfluenceValues(phi=phi, mean_phi=float(np.mean(phi)))
-
-
-def influence_curve(q0, q1, g, t, y, psi: float) -> InfluenceValues:
-    """phi_i = q1_i - q0_i + H(t_i, g_i) * (y_i - q_{t_i}) - psi."""
-    return _influence(*_nuisances(q0, q1, g, t, y), psi)
 
 
 def stationary_epsilon(y, q_at_t, t, g) -> float:
@@ -173,24 +172,6 @@ def stationary_epsilon(y, q_at_t, t, g) -> float:
     return float(np.sum(h * (y - q_at_t)) / denom)
 
 
-def psi_q(q0, q1) -> float:
-    """Plug-in estimate: mean of q1(x) - q0(x) over the given rows."""
-    q0, q1 = _checked(q0=q0, q1=q1)
-    _check_rows(len(q0), "estimator input")
-    return float(np.mean(q1 - q0))
-
-
-def psi_aiptw(q0, q1, g, t, y) -> tuple[float, InfluenceValues]:
-    """Augmented IPW: plug-in plus mean inverse-propensity residual.
-
-    The estimate is the value that zeroes the empirical mean of the
-    influence curve, so mean_phi is 0 up to rounding by construction.
-    """
-    arrays = _nuisances(q0, q1, g, t, y)
-    psi = _influence(*arrays, 0.0).mean_phi  # the mean contrast: x - 0.0 is x
-    return psi, _influence(*arrays, psi)
-
-
 def _perturbed(q0, q1, g, t, y, eps: float) -> tuple[float, InfluenceValues]:
     """Plug-in and influence curve of the outcomes moved by eps along H."""
     q1_star = q1 + eps / g
@@ -199,36 +180,48 @@ def _perturbed(q0, q1, g, t, y, eps: float) -> tuple[float, InfluenceValues]:
     return psi, _influence(q0_star, q1_star, g, t, y, psi)
 
 
-def psi_tmle(q0, q1, g, t, y) -> tuple[float, InfluenceValues, float]:
-    """One-step targeted update with the closed-form fluctuation.
+def _tags(estimators, treg: bool) -> tuple[str, ...]:
+    """The requested estimator tags; by default Q/AIPTW/TMLE, plus TREG when
+    `treg`.  UsageError for an unknown tag, and for TREG unless `treg`."""
+    if estimators is None:
+        return (TAG_Q, TAG_AIPTW, TAG_TMLE) + ((TAG_TREG,) if treg else ())
+    unknown = set(estimators) - set(ESTIMATOR_TAGS)
+    if unknown:
+        raise UsageError(f"unknown estimator tags: {sorted(unknown)}")
+    if TAG_TREG in estimators and not treg:
+        raise UsageError("TREG needs a model trained with beta > 0")
+    return estimators
 
-    epsilon = sum(H (y - q)) / sum(H^2) minimizes the squared perturbed
-    residual exactly, the updated outcomes are q + epsilon * H, and the
-    plug-in over them satisfies the estimating equation mean(phi) = 0 up
-    to float rounding.  No iteration is needed: the fluctuation is linear
-    in epsilon so one exact step lands on the solution.
+
+def estimate(q0, q1, g, t, y, estimators=None, epsilon_hat=None) -> dict:
+    """{tag: (psi_hat, InfluenceValues)} of the requested estimators on one
+    row set; by default Q/AIPTW/TMLE, plus TREG when `epsilon_hat` (the
+    fluctuation trained with the targeted-regularization term) is given.
+    AIPTW and TMLE zero mean_phi by construction; TREG's is near 0 exactly
+    when training reached stationarity in epsilon on these rows.
     """
-    q0, q1, g, t, y = _nuisances(q0, q1, g, t, y)
-    eps = stationary_epsilon(y, select_observed(q0, q1, t), t, g)
-    return (*_perturbed(q0, q1, g, t, y, eps), float(eps))
-
-
-def psi_treg(q0, q1, g, t, y, epsilon_hat: float) -> tuple[float, InfluenceValues]:
-    """Plug-in over the perturbed outcomes at the jointly trained epsilon.
-
-    `epsilon_hat` is the fluctuation a model learned with the targeted-
-    regularization term (meaningless otherwise).  mean_phi is diagnostic:
-    it is near zero exactly when training reached stationarity in epsilon
-    on the rows being estimated.
-    """
-    q0, q1, g, t, y = _nuisances(q0, q1, g, t, y)
-    return _perturbed(q0, q1, g, t, y, float(epsilon_hat))
+    estimators = _tags(estimators, epsilon_hat is not None)
+    if epsilon_hat is not None and not np.isfinite(epsilon_hat):
+        raise NumericDomainError(f"epsilon_hat must be finite, got {epsilon_hat!r}")
+    q0, q1, g, t, y = _checked(q0=q0, q1=q1, g=g, t=t, y=y)
+    _check_rows(len(t), "estimator input")
+    out = {}
+    for tag in estimators:
+        if tag == TAG_AIPTW:
+            psi = _influence(q0, q1, g, t, y, 0.0).mean_phi  # the mean contrast: x - 0.0 is x
+            out[tag] = psi, _influence(q0, q1, g, t, y, psi)
+        else:  # Q, TREG, TMLE: the plug-in of Q + eps * H at eps = 0, the trained eps, eps*
+            eps = 0.0 if tag == TAG_Q else epsilon_hat
+            if tag == TAG_TMLE:
+                eps = stationary_epsilon(y, select_observed(q0, q1, t), t, g)
+            out[tag] = _perturbed(q0, q1, g, t, y, float(eps))
+    return out
 
 
 def apply_estimators(
     model, X, t, y, bounds=(0.01, 0.99), estimators=None
 ) -> dict[str, EstimateReport]:
-    """Trim once, then run the requested estimators on the retained rows.
+    """Trim once, then `estimate` on the retained rows.
 
     Returns {tag: EstimateReport}.  The default set is Q/AIPTW/TMLE, plus
     TREG when the model was trained with targeted regularization.
@@ -242,13 +235,8 @@ def apply_estimators(
     """
     X = np.asarray(X, dtype=np.float64)
     t, y = _checked(t=t, y=y)
-    if estimators is None:
-        estimators = (TAG_Q, TAG_AIPTW, TAG_TMLE) + ((TAG_TREG,) if model.treg else ())
-    unknown = set(estimators) - set(ESTIMATOR_TAGS)
-    if unknown:
-        raise UsageError(f"unknown estimator tags: {sorted(unknown)}")
-    if TAG_TREG in estimators and not model.treg:
-        raise UsageError("TREG needs a model trained with beta > 0")
+    estimators = _tags(estimators, model.treg)
+    bounds = read_trim_bounds(bounds)
     if X.ndim != 2:
         raise ShapeError(f"X must be 2-d, got shape {X.shape}")
     if X.shape[0] != len(t):
@@ -263,23 +251,9 @@ def apply_estimators(
         )
     if tr.kept.size < X.shape[0]:
         preds = model.predict(X[tr.kept])
-    q0, q1, g, tk, yk = _nuisances(*preds, t[tr.kept], y[tr.kept])
-    reports: dict[str, EstimateReport] = {}
-    for tag in estimators:
-        if tag == TAG_AIPTW:
-            psi, iv = psi_aiptw(q0, q1, g, tk, yk)
-        else:  # Q, TREG, TMLE: the plug-in of Q + eps * H at eps = 0, the trained eps, eps*
-            eps = 0.0 if tag == TAG_Q else model.epsilon_hat
-            if tag == TAG_TMLE:
-                eps = stationary_epsilon(yk, select_observed(q0, q1, tk), tk, g)
-            psi, iv = _perturbed(q0, q1, g, tk, yk, eps)
-        reports[tag] = EstimateReport(
-            estimator_tag=tag,
-            psi_hat=psi,
-            n_used=int(tr.kept.size),
-            trim_bounds=tr.bounds,
-            mean_phi=iv.mean_phi,
-            dropped_low=tr.dropped_low,
-            dropped_high=tr.dropped_high,
-        )
-    return reports
+    estimates = estimate(*preds, t[tr.kept], y[tr.kept], estimators,
+                         model.epsilon_hat if model.treg else None)
+    trimmed = dict(n_used=int(tr.kept.size), trim_bounds=tr.bounds,
+                   dropped_low=tr.dropped_low, dropped_high=tr.dropped_high)
+    return {tag: EstimateReport(estimator_tag=tag, psi_hat=psi, mean_phi=iv.mean_phi, **trimmed)
+            for tag, (psi, iv) in estimates.items()}

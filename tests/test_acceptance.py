@@ -21,13 +21,12 @@ from dragonbench.bench import (
 )
 from dragonbench.datagen import gen_dgp_lin
 from dragonbench.estimators import (
+    TAG_AIPTW,
     TAG_Q,
+    TAG_TMLE,
     TAG_TREG,
     diff_in_means,
-    psi_aiptw,
-    psi_q,
-    psi_tmle,
-    psi_treg,
+    estimate,
 )
 from dragonbench.models import FittedModel, init_network
 from dragonbench.objectives import weighted_total
@@ -138,11 +137,12 @@ def test_criterion_2_influence_zeroing(lin_treg_model):
     y = rng.standard_normal(n)
     table = FittedModel.from_values(X, q0, q1, g)
 
-    _, iv_aiptw = psi_aiptw(*table.predict(X), t, y)
-    _, iv_tmle, _ = psi_tmle(*table.predict(X), t, y)
+    _, iv_aiptw = estimate(*table.predict(X), t, y, (TAG_AIPTW,))[TAG_AIPTW]
+    _, iv_tmle = estimate(*table.predict(X), t, y, (TAG_TMLE,))[TAG_TMLE]
 
     data, model = lin_treg_model
-    _, iv_treg = psi_treg(*model.predict(data.X), data.t, data.y, model.epsilon_hat)
+    _, iv_treg = estimate(*model.predict(data.X), data.t, data.y, (TAG_TREG,),
+                          model.epsilon_hat)[TAG_TREG]
 
     ok = (
         abs(iv_aiptw.mean_phi) <= 1e-12
@@ -203,9 +203,10 @@ def test_criterion_4_double_robustness():
     )
 
     q0, q1, g = model.predict(data.X)
-    psi_plug = psi_q(q0, q1)
-    psi_a, iv_a = psi_aiptw(q0, q1, g, data.t, data.y)
-    psi_t, iv_t, _ = psi_tmle(q0, q1, g, data.t, data.y)
+    est = estimate(q0, q1, g, data.t, data.y)
+    psi_plug, _ = est[TAG_Q]
+    psi_a, iv_a = est[TAG_AIPTW]
+    psi_t, iv_t = est[TAG_TMLE]
     se_a = float(iv_a.phi.std(ddof=1) / np.sqrt(data.n))
     se_t = float(iv_t.phi.std(ddof=1) / np.sqrt(data.n))
 

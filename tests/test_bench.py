@@ -39,11 +39,6 @@ from dragonbench.errors import ConfigError, TrainingDivergedError
 from dragonbench.estimators import (
     ESTIMATOR_TAGS,
     EstimateReport,
-    influence_curve,
-    psi_aiptw,
-    psi_q,
-    psi_tmle,
-    psi_treg,
     trim,
 )
 from dragonbench.models import FittedModel
@@ -534,11 +529,20 @@ def test_truncation_sweep_estimates_a_repeated_level_once(monkeypatch):
     assert len(estimates) == 6  # 2 levels x 3 scopes (all, in, out)
 
 
+def _moved_plug_in(q0, q1, g, t, y, eps):
+    """Plug-in and mean influence of the outcomes moved to Q + eps * H,
+    written out in numpy in the package's order of operations."""
+    q1, q0 = q1 + eps / g, q0 - eps / (1.0 - g)
+    psi = float(np.mean(q1 - q0))
+    h = t / g - (1.0 - t) / (1.0 - g)
+    return psi, float(np.mean(q1 - q0 + h * (y - (t * q1 + (1.0 - t) * q0)) - psi))
+
+
 def test_truncation_sweep_reports_equal_estimators_on_a_fresh_prediction(monkeypatch):
-    # Each report must equal the array estimators applied to one direct
-    # predict on its scope's kept rows.  Slicing those rows out of a
-    # prediction on more rows does not pass: BLAS rounds differently at
-    # other row counts.
+    # Each report must equal the estimators, written out here in numpy,
+    # applied to one direct predict on its scope's kept rows.  Slicing
+    # those rows out of a prediction on more rows does not pass: BLAS
+    # rounds differently at other row counts.
     splits = _record_calls(monkeypatch, "split")
     fits = _record_calls(monkeypatch, "train_architecture")
     level = (0.2, 0.8)
@@ -562,17 +566,20 @@ def test_truncation_sweep_reports_equal_estimators_on_a_fresh_prediction(monkeyp
             dropped += tr.dropped_low + tr.dropped_high
             q0, q1, g = model.predict(X[tr.kept])
             tk, yk = t[tr.kept], y[tr.kept]
-            psi_plug_in = psi_q(q0, q1)
+            h = tk / g - (1.0 - tk) / (1.0 - g)
+            corrected = q1 - q0 + h * (yk - (tk * q1 + (1.0 - tk) * q0))  # AIPTW's residual term
+            aiptw = float(np.mean(corrected))
+            eps_star = float(np.sum(h * (yk - (tk * q1 + (1.0 - tk) * q0))) / float(np.sum(h * h)))
             results = {
-                "Q": (psi_plug_in, influence_curve(q0, q1, g, tk, yk, psi_plug_in)),
-                "AIPTW": psi_aiptw(q0, q1, g, tk, yk),
-                "TMLE": psi_tmle(q0, q1, g, tk, yk)[:2],
-                "TREG": psi_treg(q0, q1, g, tk, yk, model.epsilon_hat),
+                "Q": _moved_plug_in(q0, q1, g, tk, yk, 0.0),
+                "AIPTW": (aiptw, float(np.mean(corrected - aiptw))),
+                "TMLE": _moved_plug_in(q0, q1, g, tk, yk, eps_star),
+                "TREG": _moved_plug_in(q0, q1, g, tk, yk, model.epsilon_hat),
             }
-            for tag, (psi, iv) in results.items():
+            for tag, (psi, mean_phi) in results.items():
                 assert run.reports[scope][tag] == EstimateReport(
                     estimator_tag=tag, psi_hat=psi,
-                    n_used=int(tr.kept.size), trim_bounds=tr.bounds, mean_phi=iv.mean_phi,
+                    n_used=int(tr.kept.size), trim_bounds=tr.bounds, mean_phi=mean_phi,
                     dropped_low=tr.dropped_low, dropped_high=tr.dropped_high,
                 )
     assert dropped > 0
@@ -755,7 +762,7 @@ def test_subsample_sweep_checks_every_rate_before_any_replication(monkeypatch):
     assert log == []
 
 
-@pytest.mark.parametrize("rate", ["x", None])
+@pytest.mark.parametrize("rate", ["x", None, True, "0.5"])
 def test_a_malformed_subsample_rate_is_a_config_error(monkeypatch, rate):
     log = _log_replications(monkeypatch)
     with pytest.raises(ConfigError, match="malformed subsample rate"):

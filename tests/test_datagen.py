@@ -292,3 +292,14 @@ def test_split_spec_validation():
         SplitSpec(0.5, 0.4, 0.2)
     with pytest.raises(ConfigError):
         SplitSpec(-0.1, 0.6, 0.5)
+
+
+@pytest.mark.parametrize("props", [(True, False, False), ("0.5", 0.5, 0.0), (0.5, None, 0.5)])
+def test_split_spec_refuses_proportions_that_are_not_numbers(props):
+    with pytest.raises(ConfigError, match="malformed split spec: .* proportion is not a number"):
+        SplitSpec(*props)
+
+
+def test_split_spec_refuses_a_non_finite_proportion():
+    with pytest.raises(ConfigError, match="validation proportion is not finite"):
+        SplitSpec(0.5, float("nan"), 0.5)

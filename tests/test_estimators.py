@@ -2,6 +2,8 @@
 
 The A-IPTW and TMLE influence-mean identities hold by construction, so
 those assertions use machine-precision tolerances, not statistical ones.
+Test names write the estimate of tag T as psi_t (psi_q is the Q estimate)
+and its influence curve as influence_curve; all of them come from `estimate`.
 """
 
 import numpy as np
@@ -24,17 +26,14 @@ from dragonbench.estimators import (
     EstimateReport,
     apply_estimators,
     diff_in_means,
-    influence_curve,
+    estimate,
     overlap_flag,
     propensity_accuracy,
-    psi_aiptw,
-    psi_q,
-    psi_tmle,
-    psi_treg,
     stationary_epsilon,
     trim,
 )
 from dragonbench.models import FittedModel
+from dragonbench.objectives import select_observed
 from dragonbench.schema import plain
 
 
@@ -46,7 +45,8 @@ def table_model(X, q0, q1, g):
 def test_psi_q_is_the_mean_contrast():
     X = np.array([[0.0], [1.0]])
     model = table_model(X, q0=[0.0, 0.0], q1=[1.0, 3.0], g=[0.5, 0.5])
-    assert psi_q(*model.predict(X)[:2]) == pytest.approx(2.0)
+    psi, _ = estimate(*model.predict(X), [1.0, 0.0], [1.0, 0.0], (TAG_Q,))[TAG_Q]
+    assert psi == pytest.approx(2.0)
     report = apply_estimators(model, X, [1.0, 0.0], [1.0, 0.0], (0.0, 1.0), (TAG_Q,))[TAG_Q]
     assert report.psi_hat == pytest.approx(2.0)
     assert report.n_used == 2
@@ -56,7 +56,7 @@ def test_psi_aiptw_single_row_hand_value():
     # q1 - q0 + H (y - q1) = (2 - 1) + 2 * (3 - 2) = 3
     X = np.array([[0.0]])
     model = table_model(X, q0=[1.0], q1=[2.0], g=[0.5])
-    psi, iv = psi_aiptw(*model.predict(X), np.array([1.0]), np.array([3.0]))
+    psi, iv = estimate(*model.predict(X), np.array([1.0]), np.array([3.0]), (TAG_AIPTW,))[TAG_AIPTW]
     assert psi == pytest.approx(3.0)
     assert abs(iv.mean_phi) <= 1e-12
 
@@ -70,7 +70,7 @@ def test_psi_aiptw_zeroes_influence_mean_by_construction():
     )
     t = (rng.uniform(size=n) < 0.5).astype(np.float64)
     y = rng.normal(size=n)
-    _, iv = psi_aiptw(*model.predict(X), t, y)
+    _, iv = estimate(*model.predict(X), t, y, (TAG_AIPTW,))[TAG_AIPTW]
     assert abs(iv.mean_phi) <= 1e-12
 
 
@@ -81,8 +81,9 @@ def test_psi_tmle_two_point_closed_form():
     model = table_model(X, q0=[0.0, 0.0], q1=[0.0, 0.0], g=[0.5, 0.5])
     t = np.array([1.0, 0.0])
     y = np.array([1.0, -1.0])
-    psi, iv, eps = psi_tmle(*model.predict(X), t, y)
-    assert eps == pytest.approx(0.5)
+    q0, q1, g = model.predict(X)
+    psi, iv = estimate(q0, q1, g, t, y, (TAG_TMLE,))[TAG_TMLE]
+    assert stationary_epsilon(y, select_observed(q0, q1, t), t, g) == pytest.approx(0.5)
     assert psi == pytest.approx(2.0)
     assert abs(iv.mean_phi) <= 1e-8
 
@@ -96,7 +97,7 @@ def test_psi_tmle_influence_mean_near_zero_random():
     )
     t = (rng.uniform(size=n) < 0.5).astype(np.float64)
     y = rng.normal(size=n)
-    _, iv, _ = psi_tmle(*model.predict(X), t, y)
+    _, iv = estimate(*model.predict(X), t, y, (TAG_TMLE,))[TAG_TMLE]
     assert abs(iv.mean_phi) <= 1e-8
 
 
@@ -106,9 +107,8 @@ def test_psi_treg_shifts_plug_in_by_trained_epsilon():
     model = table_model(X, q0=[0.0, 1.0, -1.0], q1=[1.0, 2.0, 0.0], g=[0.5] * 3)
     t = np.array([1.0, 0.0, 1.0])
     y = np.array([1.0, 1.0, 0.0])
-    base = psi_q(*model.predict(X)[:2])
-    psi, _ = psi_treg(*model.predict(X), t, y, 0.1)
-    assert psi == pytest.approx(base + 0.4)
+    est = estimate(*model.predict(X), t, y, (TAG_Q, TAG_TREG), epsilon_hat=0.1)
+    assert est[TAG_TREG][0] == pytest.approx(est[TAG_Q][0] + 0.4)
 
 
 def test_psi_treg_requires_treg_training():
@@ -116,14 +116,17 @@ def test_psi_treg_requires_treg_training():
     model = FittedModel.from_values(X, np.zeros(1), np.ones(1), np.full(1, 0.5))
     with pytest.raises(UsageError):
         apply_estimators(model, X, np.array([1.0]), np.array([1.0]), estimators=(TAG_TREG,))
+    with pytest.raises(UsageError, match="TREG needs a model trained with beta > 0"):
+        estimate(*model.predict(X), np.array([1.0]), np.array([1.0]), (TAG_TREG,))
 
 
 def test_influence_curve_hand_value():
-    # phi = (q1 - q0) + H (y - q1) - psi = 1 + 2 (2 - 1) - 1 = 2
-    iv = influence_curve(
+    # phi = (q1 - q0) + H (y - q1) - psi = 1 + 2 (2 - 1) - 1 = 2, at Q's psi = 1
+    psi, iv = estimate(
         np.array([0.0]), np.array([1.0]), np.array([0.5]), np.array([1.0]),
-        np.array([2.0]), psi=1.0,
-    )
+        np.array([2.0]), (TAG_Q,),
+    )[TAG_Q]
+    assert psi == pytest.approx(1.0)
     assert iv.phi[0] == pytest.approx(2.0)
     assert iv.mean_phi == pytest.approx(2.0)
 
@@ -188,8 +191,8 @@ def test_estimates_are_permutation_invariant():
     y = rng.normal(size=n)
     model = table_model(X, q0, q1, g)
     perm = rng.permutation(n)
-    a, _ = psi_aiptw(*model.predict(X), t, y)
-    b, _ = psi_aiptw(*model.predict(X[perm]), t[perm], y[perm])
+    a, _ = estimate(*model.predict(X), t, y, (TAG_AIPTW,))[TAG_AIPTW]
+    b, _ = estimate(*model.predict(X[perm]), t[perm], y[perm], (TAG_AIPTW,))[TAG_AIPTW]
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -203,8 +206,8 @@ def test_duplicating_every_row_preserves_estimates():
     y = rng.normal(size=n)
     model = table_model(X, q0, q1, g)
     dup = np.concatenate([np.arange(n), np.arange(n)])
-    one, _, _ = psi_tmle(*model.predict(X), t, y)
-    two, _, _ = psi_tmle(*model.predict(X[dup]), t[dup], y[dup])
+    one, _ = estimate(*model.predict(X), t, y, (TAG_TMLE,))[TAG_TMLE]
+    two, _ = estimate(*model.predict(X[dup]), t[dup], y[dup], (TAG_TMLE,))[TAG_TMLE]
     assert one == pytest.approx(two, rel=1e-12)
 
 
@@ -222,11 +225,12 @@ def test_double_robustness_with_true_propensity_and_zero_outcome_model():
     )
     t = data.t.astype(np.float64)
     q0, q1, g = model.predict(data.X)
-    psi, iv = psi_aiptw(q0, q1, g, t, data.y)
+    est = estimate(q0, q1, g, t, data.y)
+    psi, iv = est[TAG_AIPTW]
     se = iv.phi.std(ddof=1) / np.sqrt(data.n)
     assert abs(psi - tau) < 5.0 * se
-    assert abs(psi_q(q0, q1) - tau) == pytest.approx(tau)
-    tm, tm_iv, _ = psi_tmle(q0, q1, g, t, data.y)
+    assert abs(est[TAG_Q][0] - tau) == pytest.approx(tau)
+    tm, tm_iv = est[TAG_TMLE]
     tm_se = tm_iv.phi.std(ddof=1) / np.sqrt(data.n)
     assert abs(tm - tau) < 5.0 * tm_se
 
@@ -290,6 +294,8 @@ def test_apply_estimators_unknown_tag():
     model = table_model(X, [0.0], [1.0], [0.5])
     with pytest.raises(UsageError):
         apply_estimators(model, X, np.array([1.0]), np.array([1.0]), estimators=("PSI",))
+    with pytest.raises(UsageError, match=r"unknown estimator tags: \['PSI'\]"):
+        estimate(*model.predict(X), np.array([1.0]), np.array([1.0]), ("PSI", TAG_Q))
 
 
 @pytest.mark.parametrize("n", [5, 12])
@@ -320,15 +326,16 @@ def test_apply_estimators_refuses_bad_rows_before_predicting():
 
 
 ONE, TWO_D, T = np.full(2, 0.5), np.full((2, 1), 0.5), np.array([0.0, 1.0])
-PUBLIC_CHECKS = {  # each public estimation function, with a 2-d array in one argument
+PUBLIC_CHECKS = {  # each public estimation function, with a given array in one argument;
+    # psi_<tag> asks `estimate` for that tag, influence_curve for the default set
     "trim": lambda a: trim(a),
     "propensity_accuracy": lambda a: propensity_accuracy(a, T),
     "diff_in_means": lambda a: diff_in_means(T, a),
-    "influence_curve": lambda a: influence_curve(ONE, a, ONE, T, ONE, 0.0),
-    "psi_q": lambda a: psi_q(a, ONE),
-    "psi_aiptw": lambda a: psi_aiptw(ONE, ONE, a, T, ONE),
-    "psi_tmle": lambda a: psi_tmle(ONE, ONE, ONE, T, a),
-    "psi_treg": lambda a: psi_treg(ONE, ONE, ONE, T, a, 0.1),
+    "influence_curve": lambda a: estimate(ONE, a, ONE, T, ONE),
+    "psi_q": lambda a: estimate(a, ONE, ONE, T, ONE, (TAG_Q,)),
+    "psi_aiptw": lambda a: estimate(ONE, ONE, a, T, ONE, (TAG_AIPTW,)),
+    "psi_tmle": lambda a: estimate(ONE, ONE, ONE, T, a, (TAG_TMLE,)),
+    "psi_treg": lambda a: estimate(ONE, ONE, ONE, T, a, (TAG_TREG,), 0.1),
     "stationary_epsilon": lambda a: stationary_epsilon(ONE, a, T, ONE),
     "apply_estimators": lambda a: apply_estimators(table_model(np.zeros((2, 1)), ONE, ONE, ONE),
                                                    np.zeros((2, 1)), T, a),
@@ -342,10 +349,73 @@ def test_every_estimation_function_refuses_a_2d_array(call):
         call(TWO_D)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", PUBLIC_CHECKS.values(), ids=PUBLIC_CHECKS)
+def test_every_estimation_function_refuses_a_non_finite_entry(call, bad):
+    # trim used to keep [0.3, nan, 0.7] as 2 of 3 rows with 0 dropped either way
+    with pytest.raises(NumericDomainError, match="must be finite"):
+        call(np.array([0.5, bad]))
+
+
+@pytest.mark.parametrize("name", ["q0", "q1", "g", "t", "y"])
+def test_estimate_names_the_array_with_a_non_finite_entry(name):
+    # A NaN g used to pass the (0, 1) check, since every comparison with
+    # NaN is false, and NaN or inf outcomes gave nan/inf estimates.
+    arrays = dict(q0=np.zeros(3), q1=np.ones(3), g=np.full(3, 0.5),
+                  t=np.array([0.0, 1.0, 1.0]), y=np.ones(3))
+    arrays[name][1] = np.nan
+    with pytest.raises(NumericDomainError, match=f"^{name} must be finite$"):
+        estimate(**arrays)
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf])
+def test_estimate_refuses_a_non_finite_epsilon_hat(eps):
+    arrays = np.zeros(2), np.ones(2), np.full(2, 0.5), np.array([0.0, 1.0]), np.ones(2)
+    with pytest.raises(NumericDomainError, match="epsilon_hat must be finite"):
+        estimate(*arrays, (TAG_TREG,), eps)
+
+
+def test_apply_estimators_refuses_non_finite_outcomes_and_predictions():
+    X = np.zeros((3, 1))
+    t, y = np.array([0.0, 1.0, 1.0]), np.array([1.0, np.inf, 0.0])
+    fine = FittedModel.from_functions(lambda Xq: np.zeros(len(Xq)), lambda Xq: np.ones(len(Xq)),
+                                      lambda Xq: np.full(len(Xq), 0.5))
+    with pytest.raises(NumericDomainError, match="^y must be finite$"):
+        apply_estimators(fine, X, t, y)
+    nan_q1 = FittedModel.from_functions(lambda Xq: np.zeros(len(Xq)),
+                                        lambda Xq: np.full(len(Xq), np.nan),
+                                        lambda Xq: np.full(len(Xq), 0.5))
+    with pytest.raises(NumericDomainError, match="^q1 must be finite$"):
+        apply_estimators(nan_q1, X, t, np.zeros(3))
+
+
+@pytest.mark.parametrize("bounds", [0.5, (0.1,), ("a", "b"), (0.1, 0.9, 5), "ab", (np.nan, 0.9),
+                                    (False, True), (0.9, 0.1)])
+def test_malformed_trim_bounds_are_refused_before_any_predict(bounds):
+    X = np.zeros((4, 1))
+    calls = []
+    model = FittedModel.from_functions(lambda Xq: calls.append(len(Xq)) or np.zeros(len(Xq)),
+                                       lambda Xq: np.ones(len(Xq)),
+                                       lambda Xq: np.full(len(Xq), 0.5))
+    t = np.array([0.0, 1.0, 0.0, 1.0])
+    with pytest.raises(NumericDomainError, match="trim bounds must satisfy"):
+        apply_estimators(model, X, t, np.zeros(4), bounds)
+    assert calls == []
+    with pytest.raises(NumericDomainError, match="trim bounds must satisfy"):
+        trim(np.full(4, 0.5), bounds)
+
+
+def test_estimate_defaults_to_q_aiptw_tmle_and_adds_treg_with_a_trained_epsilon():
+    arrays = np.zeros(2), np.ones(2), np.full(2, 0.5), np.array([0.0, 1.0]), np.ones(2)
+    assert list(estimate(*arrays)) == [TAG_Q, TAG_AIPTW, TAG_TMLE]
+    assert list(estimate(*arrays, epsilon_hat=0.05)) == [TAG_Q, TAG_AIPTW, TAG_TMLE, TAG_TREG]
+    assert list(estimate(*arrays, (TAG_TREG, TAG_Q), 0.05)) == [TAG_TREG, TAG_Q]
+
+
 @pytest.mark.parametrize("call", [
-    lambda: psi_q([], []),
-    lambda: psi_aiptw([], [], [], [], []),
-    lambda: influence_curve([], [], [], [], [], 0.0),
+    lambda: estimate([], [], [], [], [], (TAG_Q,)),
+    lambda: estimate([], [], [], [], [], (TAG_AIPTW,)),
+    lambda: estimate([], [], [], [], []),
     lambda: propensity_accuracy([], []),
 ], ids=["psi_q", "psi_aiptw", "influence_curve", "propensity_accuracy"])
 def test_estimators_refuse_empty_rows(call):
@@ -391,7 +461,7 @@ def test_estimates_follow_a_shift_and_a_scale_of_the_outcomes(seed):
     c, s = rng.normal(scale=5.0), rng.uniform(0.1, 10.0)
 
     def estimates(q0, q1, y):
-        return [psi_q(q0, q1), psi_aiptw(q0, q1, g, t, y)[0], psi_tmle(q0, q1, g, t, y)[0]]
+        return [psi for psi, _ in estimate(q0, q1, g, t, y).values()]
 
     base = np.array(estimates(q0, q1, y))
     np.testing.assert_allclose(estimates(q0 + c, q1 + c, y + c), base, rtol=0, atol=1e-12)

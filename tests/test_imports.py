@@ -9,10 +9,14 @@ re-export them.  A removed caller can leave its callee behind too, so a
 second check lists the top-level functions, classes and constants of the
 package that no file under `src/`, `tests/` or `perfbench/` loads.  A
 third check keeps each private name private: no package module imports a
-leading-underscore name from another.
+leading-underscore name from another.  A fourth reads the README's module
+map, so a removed or renamed name cannot stay listed there.
 """
 
 import ast
+import importlib
+import re
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -106,3 +110,43 @@ def test_the_check_sees_a_private_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
 def test_no_module_imports_a_private_name_of_another(path):
     assert private_imports(path.read_text()) == []
+
+
+def module_map(readme: str) -> dict[str, list[str]]:
+    """{module: the backticked names of its row} of the README's "Module map" table."""
+    section = readme.split("## Module map", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 2 and re.fullmatch(r"`\w+`", cells[0]):
+            rows[cells[0].strip("`")] = re.findall(r"`([^`]+)`", cells[1])
+    return rows
+
+
+def resolves(obj, dotted: str) -> bool:
+    """Whether `dotted` names a chain of attributes of `obj`; the last name
+    may also be a field of a dataclass."""
+    *path, last = dotted.split(".")
+    for name in path:
+        if not hasattr(obj, name):
+            return False
+        obj = getattr(obj, name)
+    return hasattr(obj, last) or (is_dataclass(obj) and last in {f.name for f in fields(obj)})
+
+
+MODULE_MAP = module_map((REPO / "README.md").read_text())
+
+
+def test_the_check_sees_a_name_the_module_lacks():
+    readme = ("## Module map\n\n| module | contents |\n| --- | --- |\n"
+              "| `models` | `FittedModel.predict`, `FittedModel.fit`, `predict` |\n\n## Next\n")
+    [(module, names)] = module_map(readme).items()
+    models = importlib.import_module(f"dragonbench.{module}")
+    assert [name for name in names if not resolves(models, name)] == ["FittedModel.fit", "predict"]
+    assert "estimators" in MODULE_MAP
+
+
+@pytest.mark.parametrize("module", MODULE_MAP)
+def test_every_name_in_the_readme_module_map_exists(module):
+    found = importlib.import_module(f"dragonbench.{module}")
+    assert [name for name in MODULE_MAP[module] if not resolves(found, name)] == []
