@@ -6,7 +6,9 @@ seeds derive from SeedSequence([base_seed, replication]) spawned into
 four independent child streams (data, split, training, subsampling), so
 results are reproducible run-to-run and identical whether replications
 execute serially or in a process pool.  Wall-clock time is recorded per
-run but is the one field excluded from determinism claims.
+run but is the one field excluded from determinism claims.  A config is
+checked whole when built, its `dgp` spec by `read_dgp` and its estimator
+tags by `estimators.check_tags`, so a malformed one fails before any fit.
 
 Absolute errors are measured against the dataset's sample average effect
 (mean(mu1 - mu0)); data without mu0/mu1 (a CSV without those columns) has
@@ -46,16 +48,16 @@ from .estimators import (
     TAG_Q,
     TAG_TMLE,
     TAG_TREG,
-    ESTIMATOR_TAGS,
     EstimateReport,
     apply_estimators,
+    check_tags,
     diff_in_means,
     overlap_flag,
     propensity_accuracy,
     read_trim_bounds,
 )
 from .models import ARCHITECTURES, FittedModel
-from .objectives import select_observed
+from .objectives import select_observed, squared_error_term
 from .schema import as_count, as_number, check_bools, check_keys, config_values, plain
 from .train import TrainConfig, train_architecture
 
@@ -90,8 +92,8 @@ class ExperimentConfig:
     {"kind": "ihdp_like", n, p, ...} and {"kind": "csv", "paths": [...]}
     where replication i reads paths[i].  The objective weights are `alpha`
     and `beta`, not `train`'s, and the seed is `base_seed`, not `train`'s;
-    `treg` needs beta > 0 and a trained architecture; TREG among
-    `estimators` needs `treg`.
+    `treg` needs beta > 0 and a trained architecture, which needs a train
+    share > 0; TREG among `estimators` needs `treg`.
     """
 
     dgp: dict
@@ -110,8 +112,6 @@ class ExperimentConfig:
     @config_values("experiment config")
     def __post_init__(self):
         check_bools(self)
-        if not isinstance(self.dgp, dict) or "kind" not in self.dgp:
-            raise ConfigError("dgp must be a dict with a 'kind' entry")
         if not isinstance(self.train, TrainConfig):
             raise ConfigError("train must be a TrainConfig or a dict of its fields")
         if (self.train.alpha, self.train.beta) != (TrainConfig.alpha, TrainConfig.beta):
@@ -133,18 +133,16 @@ class ExperimentConfig:
             raise ConfigError("base_seed must be >= 0")
         if as_count(self.workers, "workers") < 1:
             raise ConfigError("workers must be >= 1")
+        read_dgp(self.dgp, self.replications)
         object.__setattr__(self, "trim", read_trim_bounds(self.trim))
         object.__setattr__(self, "split", tuple(as_number(q, "split proportion") for q in self.split))
         if len(self.split) != 3:
             raise ConfigError("split needs (train, validation, test) proportions")
         SplitSpec(*self.split)
+        if self.split[0] == 0 and self.architecture != ARCH_ORACLE:
+            raise ConfigError(f"{self.architecture} trains, so its train proportion must be > 0")
         if self.estimators is not None:
-            object.__setattr__(self, "estimators", tuple(self.estimators))
-            unknown = set(self.estimators) - set(ESTIMATOR_TAGS)
-            if unknown:
-                raise ConfigError(f"unknown estimator tags {sorted(unknown)}")
-            if TAG_TREG in self.estimators and not self.treg:
-                raise ConfigError("estimator TREG needs treg = true")
+            object.__setattr__(self, "estimators", check_tags(self.estimators, self.treg))
 
     @property
     def method_label(self) -> str:
@@ -256,13 +254,16 @@ class GridResult:
     baseline: str
 
 
-def make_dataset(dgp: dict, rng: np.random.Generator, replication: int) -> Dataset:
-    """Draw one replication's dataset from a `dgp` spec.
+def read_dgp(dgp: dict, replications: int = 1):
+    """Check a `dgp` spec for `replications` replications; returns
+    draw(rng, replication) -> that replication's Dataset.
 
     A generator kind takes its generator's parameters, bar `rng`, as keys,
     with the defaults of DGP_GENERATORS or else of the generator; a missing
     or unknown key, or a value that `as_count` or `as_number` refuses, is a
-    ConfigError that names it, and so is a `dgp` that is not a dict.
+    ConfigError that names it, and so are a `dgp` that is not a dict and a
+    csv spec with fewer `paths` than replications.  The generators check
+    their values' ranges (`n` >= 1, `noise_sd` >= 0, ...) when they draw.
     """
     if not isinstance(dgp, dict):
         raise ConfigError(f"dgp must be a JSON object, got {type(dgp).__name__}")
@@ -272,11 +273,9 @@ def make_dataset(dgp: dict, rng: np.random.Generator, replication: int) -> Datas
         paths = dgp.get("paths")
         if not (isinstance(paths, list) and paths and all(isinstance(q, str) for q in paths)):
             raise ConfigError(f"csv dgp needs 'paths', a nonempty list of file names, got {paths!r}")
-        if replication >= len(paths):
-            raise ConfigError(
-                f"replication {replication} has no csv file: only {len(paths)} paths"
-            )
-        return load_csv(paths[replication])
+        if replications > len(paths):
+            raise ConfigError(f"csv dgp has {len(paths)} paths for {replications} replications")
+        return lambda rng, replication: load_csv(paths[replication])
     if kind not in DGP_GENERATORS:
         raise ConfigError(f"unknown dgp kind {kind!r}")
     generator, defaults = DGP_GENERATORS[kind]
@@ -292,7 +291,12 @@ def make_dataset(dgp: dict, rng: np.random.Generator, replication: int) -> Datas
                 kwargs[name] = read(spec[name], f"{kind} dgp key {name!r}")
         elif param.default is param.empty:
             raise ConfigError(f"{kind} dgp needs the key {name!r}")
-    return generator(rng=rng, **kwargs)
+    return lambda rng, replication: generator(rng=rng, **kwargs)
+
+
+def make_dataset(dgp: dict, rng: np.random.Generator, replication: int) -> Dataset:
+    """Draw one replication's dataset from a `dgp` spec, checked by `read_dgp`."""
+    return read_dgp(dgp, replication + 1)(rng, replication)
 
 
 def _replication_streams(base_seed: int, replication: int):
@@ -392,7 +396,6 @@ def run_replication(
 
     scopes = _scope_indices(dataset.n, idx)
     truth = dataset.sample_ate
-    t_float = dataset.t.astype(np.float64)
     heldout_mse = heldout_acc = None
     if model is None:
         scopes = {}  # a diverged fit estimates nothing
@@ -400,10 +403,10 @@ def run_replication(
         model = _predict_once(model)
         held = scopes.get("out", idx.validation if idx.validation.size else scopes[SUMMARY_SCOPE])
         q0h, q1h, gh = model.predict(dataset.X[held])
-        th = t_float[held]
-        heldout_mse = float(np.mean((select_observed(q0h, q1h, th) - dataset.y[held]) ** 2))
+        th = dataset.t[held]
+        heldout_mse = float(squared_error_term(select_observed(q0h, q1h, th), dataset.y[held]))
         heldout_acc = propensity_accuracy(gh, th)
-    dim = diff_in_means(t_float, dataset.y) if 0 < dataset.t.sum() < dataset.n else None
+    dim = diff_in_means(dataset.t, dataset.y) if 0 < dataset.t.sum() < dataset.n else None
     shared = dict(  # the RunResult fields every trim level has in common
         replication=replication, method=config.method_label, truth=truth, dim=dim,
         dim_abs_error=None if dim is None or truth is None else abs(dim - truth),
@@ -416,7 +419,7 @@ def run_replication(
         reports, errors = {}, {}
         for scope, rows in scopes.items():
             try:
-                reports[scope] = apply_estimators(model, dataset.X[rows], t_float[rows],
+                reports[scope] = apply_estimators(model, dataset.X[rows], dataset.t[rows],
                                                   dataset.y[rows], bounds, config.estimator_tags())
             except EstimationError as err:
                 errors[scope] = str(err)
@@ -566,10 +569,12 @@ def truncation_sweep(
     Each replication trains once; the trimming/estimation stage reruns per
     level.  A level that trims away every row is recorded per run in
     `estimation_errors` rather than raising.  Each level is checked, as a
-    config's `trim`, before any replication runs, and a repeated level runs
-    once.
+    config's `trim`, before any replication runs; a repeated level runs
+    once, and no level at all trains nothing.
     """
     configs = {c.trim: c for c in (replace(config, trim=level) for level in levels)}
+    if not configs:  # no level to estimate at, so nothing to train for
+        return {}
     [per_level] = _run_all_replications(config.workers, [(config, None)], tuple(configs))
     return {trim: ExperimentResult(c, runs) for (trim, c), runs in zip(configs.items(), per_level)}
 

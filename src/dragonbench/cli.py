@@ -160,9 +160,7 @@ def _cmd_train(args) -> int:
 def _cmd_estimate(args) -> int:
     model = load_checkpoint(args.checkpoint)
     dataset = load_csv(args.data)
-    reports = apply_estimators(
-        model, dataset.X, dataset.t.astype(np.float64), dataset.y, args.trim, args.estimators
-    )
+    reports = apply_estimators(model, dataset.X, dataset.t, dataset.y, args.trim, args.estimators)
     truth = dataset.sample_ate
     for tag, report in reports.items():
         line = plain(report)

@@ -18,6 +18,7 @@ what `apply_estimators` does with one `FittedModel.predict` per row set.
 
 Each public function checks its arrays once, through `_checked`, and the
 influence curve is written once, in `_influence`, for checked arrays.
+`check_tags` is the one estimator-tag rule; the bench's configs apply it too.
 `stationary_epsilon` is TMLE's fluctuation and training's exact epsilon step.
 """
 
@@ -180,16 +181,19 @@ def _perturbed(q0, q1, g, t, y, eps: float) -> tuple[float, InfluenceValues]:
     return psi, _influence(q0_star, q1_star, g, t, y, psi)
 
 
-def _tags(estimators, treg: bool) -> tuple[str, ...]:
-    """The requested estimator tags; by default Q/AIPTW/TMLE, plus TREG when
-    `treg`.  UsageError for an unknown tag, and for TREG unless `treg`."""
+def check_tags(estimators, treg: bool) -> tuple[str, ...]:
+    """The tags as a tuple; by default Q/AIPTW/TMLE, plus TREG when `treg`.
+    UsageError for a string, an unknown tag, and TREG unless `treg`."""
     if estimators is None:
         return (TAG_Q, TAG_AIPTW, TAG_TMLE) + ((TAG_TREG,) if treg else ())
+    if isinstance(estimators, str):
+        raise UsageError(f"estimators must be a list of tags, not the string {estimators!r}")
+    estimators = tuple(estimators)  # an iterator is read once
     unknown = set(estimators) - set(ESTIMATOR_TAGS)
     if unknown:
         raise UsageError(f"unknown estimator tags: {sorted(unknown)}")
     if TAG_TREG in estimators and not treg:
-        raise UsageError("TREG needs a model trained with beta > 0")
+        raise UsageError("TREG needs a model trained with beta > 0 (in a bench config, treg = true)")
     return estimators
 
 
@@ -200,7 +204,7 @@ def estimate(q0, q1, g, t, y, estimators=None, epsilon_hat=None) -> dict:
     AIPTW and TMLE zero mean_phi by construction; TREG's is near 0 exactly
     when training reached stationarity in epsilon on these rows.
     """
-    estimators = _tags(estimators, epsilon_hat is not None)
+    estimators = check_tags(estimators, epsilon_hat is not None)
     if epsilon_hat is not None and not np.isfinite(epsilon_hat):
         raise NumericDomainError(f"epsilon_hat must be finite, got {epsilon_hat!r}")
     q0, q1, g, t, y = _checked(q0=q0, q1=q1, g=g, t=t, y=y)
@@ -235,7 +239,7 @@ def apply_estimators(
     """
     X = np.asarray(X, dtype=np.float64)
     t, y = _checked(t=t, y=y)
-    estimators = _tags(estimators, model.treg)
+    estimators = check_tags(estimators, model.treg)
     bounds = read_trim_bounds(bounds)
     if X.ndim != 2:
         raise ShapeError(f"X must be 2-d, got shape {X.shape}")

@@ -400,6 +400,8 @@ def train_architecture(
         raise ConfigError(f"unknown architecture {arch!r}; expected one of {sorted(ARCHITECTURES)}")
     if arch == ARCH_NEDNET and cfg.beta > 0:
         raise ConfigError("nednet has no fluctuation parameter; use beta = 0")
+    if data.n == 0:
+        raise ConfigError("no rows to train on")
     if rng is None:
         rng = np.random.default_rng(cfg.seed if cfg.seed is not None else 0)
     init_rng, order_rng = _child_rngs(rng, 2)

@@ -34,6 +34,7 @@ from dragonbench.bench import (
     truncation_sweep,
 )
 from dragonbench.autodiff import stable_sigmoid
+from dragonbench.cli import main
 from dragonbench.datagen import write_csv
 from dragonbench.errors import ConfigError, TrainingDivergedError
 from dragonbench.estimators import (
@@ -70,6 +71,32 @@ def strip_wall_time(run: RunResult) -> dict:
     return d
 
 
+@pytest.fixture
+def no_fit(monkeypatch):
+    """bench.train_architecture set to fail the test if it is ever called."""
+    def fit(*args, **kwargs):
+        pytest.fail("a replication trained")
+
+    monkeypatch.setattr(bench, "train_architecture", fit)
+
+
+def assert_refused_when_built(tmp_path, capsys, match, **overrides):
+    """tiny_config's fields with `overrides` are refused, with a ConfigError
+    matching `match`, by ExperimentConfig(...), by from_dict and by
+    `dragonbench bench --config`, which prints one `error:` line and exits 2."""
+    with pytest.raises(ConfigError, match=match):
+        tiny_config(**overrides)
+    d = {**plain(tiny_config()), **overrides}
+    with pytest.raises(ConfigError, match=match):
+        ExperimentConfig.from_dict(d)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert main(["bench", "--config", str(path)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and re.search(match, line)
+
+
 # --- config -------------------------------------------------------------------
 
 def test_config_validation():
@@ -97,10 +124,25 @@ def test_config_validation():
     ((0.5, 0.5, 0.5), "proportions must sum to 1"),
     ((-0.5, 1.0, 0.5), "train proportion must be >= 0"),
     ((0.5, 0.5), "split needs"),
+    ((0.0, 1.0, 0.0), "dragonnet trains, so its train proportion must be > 0"),
 ])
-def test_config_rejects_a_bad_split_when_built(split, match):
-    with pytest.raises(ConfigError, match=match):
-        tiny_config(split=split)
+def test_config_rejects_a_bad_split_when_built(tmp_path, capsys, no_fit, split, match):
+    assert_refused_when_built(tmp_path, capsys, match, split=split)
+
+
+def test_the_oracle_takes_a_zero_train_share():
+    # The oracle trains nothing, so every row may go to validation.
+    cfg = tiny_config(architecture="oracle", split=(0.0, 1.0, 0.0), replications=1)
+    [run] = run_replication(cfg, 0)
+    assert run.reports["in"]["Q"].n_used == 120
+
+
+@pytest.mark.parametrize("overrides, match", [
+    ({"estimators": "Q"}, "estimators must be a list of tags, not the string 'Q'"),
+    ({"estimators": "TMLE"}, "estimators must be a list of tags, not the string 'TMLE'"),
+], ids=["string-tag", "string-tags"])
+def test_config_refuses_a_string_of_tags_before_any_fit(tmp_path, capsys, no_fit, overrides, match):
+    assert_refused_when_built(tmp_path, capsys, match, **overrides)
 
 
 @pytest.mark.parametrize("field, value", [("alpha", -1.0), ("alpha", float("nan")),
@@ -113,7 +155,7 @@ def test_config_checks_the_training_weights_when_built(field, value):
 @pytest.mark.parametrize("overrides, match", [
     ({"treg": True, "beta": 0.0}, "treg needs beta > 0"),
     ({"treg": True, "architecture": "oracle"}, "oracle does not take the targeted"),
-    ({"estimators": ("Q", "TREG")}, "estimator TREG needs treg"),
+    ({"estimators": ("Q", "TREG")}, r"TREG needs a model trained with beta > 0 \(in a bench config, treg = true\)"),
 ], ids=["beta-zero", "oracle", "treg-estimator-without-treg"])
 def test_config_refuses_targeted_regularization_that_cannot_run(overrides, match):
     with pytest.raises(ConfigError, match=match):
@@ -232,13 +274,17 @@ def test_make_dataset_kinds():
     ({"kind": "csv", "paths": "B/d.csv"}, "csv dgp needs 'paths'"),
     ({"kind": "csv", "paths": [3]}, "csv dgp needs 'paths'"),
     ({"kind": "csv", "paths": []}, "csv dgp needs 'paths'"),
+    ({"kind": "nope"}, "unknown dgp kind 'nope'"),
+    ({"kind": "csv", "paths": ["a.csv"]}, "csv dgp has 1 paths for 3 replications"),
 ], ids=["missing", "malformed", "irrelevant-missing", "unknown", "csv-unknown", "nan",
         "infinite", "infinite-count", "fractional-count", "bool-count", "string-count",
         "fractional-p", "string-number", "bool-number", "string-infinite",
-        "csv-paths-string", "csv-paths-number", "csv-paths-empty"])
-def test_bad_dgp_keys_raise_config_error_naming_the_key(dgp, match):
+        "csv-paths-string", "csv-paths-number", "csv-paths-empty", "unknown-kind",
+        "csv-too-few-paths"])
+def test_bad_dgp_keys_raise_config_error_naming_the_key(tmp_path, capsys, no_fit, dgp, match):
     with pytest.raises(ConfigError, match=match):
-        make_dataset(dgp, np.random.default_rng(0), 0)
+        make_dataset(dgp, np.random.default_rng(0), 2)  # the third replication
+    assert_refused_when_built(tmp_path, capsys, match, dgp=dgp, replications=3)
 
 
 def test_integers_are_taken_where_numbers_are_expected():
@@ -520,6 +566,12 @@ def _record_calls(monkeypatch, name: str) -> list:
 
     monkeypatch.setattr(bench, name, wrapped)
     return log
+
+
+def test_truncation_sweep_without_levels_trains_nothing(monkeypatch):
+    fits = _record_calls(monkeypatch, "train_architecture")
+    assert truncation_sweep(tiny_config(), []) == {}
+    assert fits == []
 
 
 def test_truncation_sweep_estimates_a_repeated_level_once(monkeypatch):

@@ -219,7 +219,7 @@ def test_bench_flags_override_experiment_config_fields():
 def test_bench_with_empty_estimators_exits_with_code_two(tmp_path, capsys):
     rc = main(["bench", "--config", write_config(tmp_path), "--estimators", ""])
     assert rc == 2
-    assert "unknown estimator tags ['']" in capsys.readouterr().err
+    assert "unknown estimator tags: ['']" in capsys.readouterr().err
 
 
 def test_sweep_trim_that_trims_every_row_reports_nothing(tmp_path, capsys):

@@ -298,6 +298,20 @@ def test_apply_estimators_unknown_tag():
         estimate(*model.predict(X), np.array([1.0]), np.array([1.0]), ("PSI", TAG_Q))
 
 
+@pytest.mark.parametrize("tags", [TAG_Q, TAG_TMLE])
+def test_a_string_of_tags_is_refused(tags):
+    # Iterating "TMLE" gives its letters, and "Q" gives "Q" by accident.
+    X = np.array([[0.0]])
+    model = table_model(X, [0.0], [1.0], [0.5])
+    match = f"estimators must be a list of tags, not the string '{tags}'"
+    with pytest.raises(UsageError, match=match):
+        apply_estimators(model, X, np.array([1.0]), np.array([1.0]), estimators=tags)
+    with pytest.raises(UsageError, match=match):
+        estimate(*model.predict(X), np.array([1.0]), np.array([1.0]), tags)
+    taken = estimate(*model.predict(X), np.array([1.0]), np.array([1.0]), iter([tags]))
+    assert list(taken) == [tags]  # an iterator of tags is read once, not consumed by the check
+
+
 @pytest.mark.parametrize("n", [5, 12])
 def test_apply_estimators_refuses_t_and_y_that_do_not_match_the_rows_of_x(n):
     # Refused before any predict: fewer rows used to end in a bare

@@ -149,6 +149,13 @@ def test_nednet_rejects_targeted_regularization():
                            TrainConfig(beta=1.0, **{k: v for k, v in SMALL.items() if k != "beta"}))
 
 
+@pytest.mark.parametrize("arch", ["dragonnet", "tarnet", "nednet"])
+def test_a_dataset_without_rows_is_refused_before_scaling(arch):
+    empty = toy_data(n=60).subset(np.arange(0))
+    with pytest.raises(ConfigError, match="no rows to train on"):
+        train_architecture(arch, empty, TrainConfig(**SMALL))
+
+
 def test_nednet_trunk_never_sees_the_outcomes():
     # Phase 1 fits trunk + propensity on (X, t) alone and phase 2 freezes
     # them, so replacing y wholesale cannot move the propensity.  Joint
