@@ -18,9 +18,13 @@ and small-array numpy calls, not arithmetic.  So graph nodes are built
 without re-validating values that are float64 arrays already, `mean`,
 `clip` and the gradient sums call the ufunc that numpy's wrappers end in
 (`np.add.reduce`, `ndarray.clip`), and every primitive keeps numpy's
-operation order: values and gradients stay bit-identical.
-`tests/test_autodiff.py` checks each rewritten primitive against its old
-form (the `*_bit_identical_*` tests and
+operation order: values and gradients stay bit-identical.  Two rules,
+`_binary` (add, sub, mul, div; each vjp summed down to its operand's shape)
+and `_unary` (neg, square, log, sigmoid, elu, vsum, mean), write the wiring
+once; linear, clip and reshape are written out.  A rule adds one Python call
+to each vjp, and `mean`'s and `vsum`'s vjps pay for it by filling `np.empty`
+instead of calling `np.full`.  `tests/test_autodiff.py` checks each
+primitive against its written-out form (the `*_bit_identical_*` tests and
 `test_topo_keeps_the_depth_first_order_of_the_pair_stack`), and
 `test_minibatch_gradients_match_the_v1_fixture` in `tests/test_train.py`
 pins one minibatch's loss and gradients per architecture.
@@ -116,55 +120,68 @@ class Var:
         return neg(self)
 
 
-def add(a, b):
-    av, bv = _value(a), _value(b)
-    return _node(
-        av + bv,
-        (a, lambda g: _unbroadcast(g, av.shape)),
-        (b, lambda g: _unbroadcast(g, bv.shape)),
-    )
+def _binary(value, da, db):
+    """The primitive `value(av, bv)` of two operands; the vjps `da(g, av, bv)`
+    and `db(g, av, bv)` are each summed down to their operand's shape."""
+    def primitive(a, b):
+        av, bv = _value(a), _value(b)
+        return _node(
+            value(av, bv),
+            (a, lambda g: _unbroadcast(da(g, av, bv), av.shape)),
+            (b, lambda g: _unbroadcast(db(g, av, bv), bv.shape)),
+        )
+    return primitive
 
 
-def sub(a, b):
-    av, bv = _value(a), _value(b)
-    return _node(
-        av - bv,
-        (a, lambda g: _unbroadcast(g, av.shape)),
-        (b, lambda g: _unbroadcast(-g, bv.shape)),
-    )
+def _unary(value, d):
+    """The primitive `value(av)` of one operand, with the vjp `d(g, av, out)`."""
+    def primitive(a):
+        av = _value(a)
+        out = value(av)
+        return _node(out, (a, lambda g: d(g, av, out)))
+    return primitive
 
 
-def mul(a, b):
-    av, bv = _value(a), _value(b)
-    return _node(
-        av * bv,
-        (a, lambda g: _unbroadcast(g * bv, av.shape)),
-        (b, lambda g: _unbroadcast(g * av, bv.shape)),
-    )
+def _filled(shape, x) -> Array:
+    """np.full(shape, x, dtype=np.float64) without its wrapper's overhead."""
+    out = np.empty(shape)
+    out.fill(x)
+    return out
 
 
-def div(a, b):
-    av, bv = _value(a), _value(b)
-    return _node(
-        av / bv,
-        (a, lambda g: _unbroadcast(g / bv, av.shape)),
-        (b, lambda g: _unbroadcast(-g * av / (bv * bv), bv.shape)),
-    )
+def stable_sigmoid(z: Array) -> Array:
+    """sigmoid(z) computed without overflow, clamped into (0, 1)."""
+    z = np.asarray(z, dtype=np.float64)
+    e = np.exp(-np.abs(z))  # exp(-z) where z >= 0, exp(z) elsewhere
+    out = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return out.clip(SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP)
 
 
-def neg(a):
-    av = _value(a)
-    return _node(-av, (a, lambda g: -g))
+def _elu(av: Array) -> Array:
+    """elu(x) = x for x > 0, exp(x) - 1 otherwise.  C1 at the origin.
+
+    Computed in one fresh buffer as max(x, expm1(min(x, 0))); because
+    expm1(x) >= x for x <= 0, it and its slope min(out + 1, 1) match the
+    two-branch form where(x > 0, x, expm1(x)) bit for bit.
+    """
+    out = np.minimum(av, 0.0, out=np.empty_like(av))
+    np.expm1(out, out=out)
+    np.maximum(av, out, out=out)
+    return out
 
 
-def square(a):
-    av = _value(a)
-    return _node(av * av, (a, lambda g: 2.0 * g * av))
-
-
-def log(a):
-    av = _value(a)
-    return _node(np.log(av), (a, lambda g: g / av))
+add = _binary(np.add, lambda g, a, b: g, lambda g, a, b: g)
+sub = _binary(np.subtract, lambda g, a, b: g, lambda g, a, b: -g)
+mul = _binary(np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a)
+div = _binary(np.true_divide, lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b))
+neg = _unary(np.negative, lambda g, a, out: -g)
+square = _unary(lambda a: a * a, lambda g, a, out: 2.0 * g * a)
+log = _unary(np.log, lambda g, a, out: g / a)
+sigmoid = _unary(stable_sigmoid, lambda g, a, s: g * s * (1.0 - s))
+elu = _unary(_elu, lambda g, a, out: g * np.minimum(out + 1.0, 1.0))
+vsum = _unary(np.sum, lambda g, a, out: _filled(a.shape, g))
+mean = _unary(lambda a: np.add.reduce(a, axis=None) / a.size,  # np.mean's own arithmetic
+              lambda g, a, out: _filled(a.shape, g / a.size))
 
 
 def linear(x, weights, bias):
@@ -180,34 +197,6 @@ def linear(x, weights, bias):
     )
 
 
-def stable_sigmoid(z: Array) -> Array:
-    """sigmoid(z) computed without overflow, clamped into (0, 1)."""
-    z = np.asarray(z, dtype=np.float64)
-    e = np.exp(-np.abs(z))  # exp(-z) where z >= 0, exp(z) elsewhere
-    out = np.where(z >= 0, 1.0, e) / (1.0 + e)
-    return out.clip(SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP)
-
-
-def sigmoid(a):
-    av = _value(a)
-    s = stable_sigmoid(av)
-    return _node(s, (a, lambda g: g * s * (1.0 - s)))
-
-
-def elu(a):
-    """elu(x) = x for x > 0, exp(x) - 1 otherwise.  C1 at the origin.
-
-    Computed in one fresh buffer as max(x, expm1(min(x, 0))); because
-    expm1(x) >= x for x <= 0, it and its slope min(out + 1, 1) match the
-    two-branch form where(x > 0, x, expm1(x)) bit for bit.
-    """
-    av = _value(a)
-    out = np.minimum(av, 0.0, out=np.empty_like(av))
-    np.expm1(out, out=out)
-    np.maximum(av, out, out=out)
-    return _node(out, (a, lambda g: g * np.minimum(out + 1.0, 1.0)))
-
-
 def clip(a, lo: float, hi: float):
     """Clamp values into [lo, hi].  Gradient is 1 inside the band, 0 outside."""
     av = _value(a)
@@ -218,19 +207,6 @@ def reshape(a, shape):
     av = _value(a)
     orig = av.shape
     return _node(av.reshape(shape), (a, lambda g: g.reshape(orig)))
-
-
-def vsum(a):
-    av = _value(a)
-    return _node(np.sum(av), (a, lambda g: np.full(av.shape, g, dtype=np.float64)))
-
-
-def mean(a):
-    av = _value(a)
-    return _node(
-        np.add.reduce(av, axis=None) / av.size,  # np.mean's own arithmetic
-        (a, lambda g: np.full(av.shape, g / av.size, dtype=np.float64)),
-    )
 
 
 def _topo(root: Var) -> list[Var]:

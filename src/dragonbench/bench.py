@@ -261,8 +261,9 @@ def read_dgp(dgp: dict, replications: int = 1):
     A generator kind takes its generator's parameters, bar `rng`, as keys,
     with the defaults of DGP_GENERATORS or else of the generator; a missing
     or unknown key, or a value that `as_count` or `as_number` refuses, is a
-    ConfigError that names it, and so are a `dgp` that is not a dict and a
-    csv spec with fewer `paths` than replications.  The generators check
+    ConfigError that names it, and so are a `dgp` that is not a dict, a
+    csv spec with fewer `paths` than replications and the first of those
+    paths that is not a file.  The generators check
     their values' ranges (`n` >= 1, `noise_sd` >= 0, ...) when they draw.
     """
     if not isinstance(dgp, dict):
@@ -275,6 +276,9 @@ def read_dgp(dgp: dict, replications: int = 1):
             raise ConfigError(f"csv dgp needs 'paths', a nonempty list of file names, got {paths!r}")
         if replications > len(paths):
             raise ConfigError(f"csv dgp has {len(paths)} paths for {replications} replications")
+        missing = next((q for q in paths[:replications] if not Path(q).is_file()), None)
+        if missing is not None:
+            raise ConfigError(f"csv dgp file not found: {missing!r}")
         return lambda rng, replication: load_csv(paths[replication])
     if kind not in DGP_GENERATORS:
         raise ConfigError(f"unknown dgp kind {kind!r}")
@@ -528,13 +532,14 @@ def run_grid(
     if baseline not in labels:
         raise ConfigError(f"baseline {baseline!r} is not in the method grid {labels}")
     tags = config.estimators
+    for label, _, treg in methods:  # before the configs, which refuse an empty tag list
+        headline = TAG_TREG if treg else TAG_Q
+        if tags is not None and headline not in tags:
+            raise ConfigError(f"grid method {label} needs its headline estimator "
+                              f"{headline} among the estimators, got {list(tags)}")
     untreg = tags and tuple(tag for tag in tags if tag != TAG_TREG)  # None stays None
     configs = [replace(config, architecture=arch, treg=treg, estimators=tags if treg else untreg)
                for _, arch, treg in methods]
-    for label, cfg in zip(labels, configs):
-        if cfg.headline_tag() not in cfg.estimator_tags():
-            raise ConfigError(f"grid method {label} needs its headline estimator "
-                              f"{cfg.headline_tag()} among the estimators, got {list(tags)}")
     per_method = _run_all_replications(config.workers, [(cfg, None) for cfg in configs])
     results = {label: ExperimentResult(cfg, runs)
                for label, cfg, [runs] in zip(labels, configs, per_method)}

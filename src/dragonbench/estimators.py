@@ -183,12 +183,14 @@ def _perturbed(q0, q1, g, t, y, eps: float) -> tuple[float, InfluenceValues]:
 
 def check_tags(estimators, treg: bool) -> tuple[str, ...]:
     """The tags as a tuple; by default Q/AIPTW/TMLE, plus TREG when `treg`.
-    UsageError for a string, an unknown tag, and TREG unless `treg`."""
+    UsageError for a string, an empty list, an unknown tag, and TREG unless `treg`."""
     if estimators is None:
         return (TAG_Q, TAG_AIPTW, TAG_TMLE) + ((TAG_TREG,) if treg else ())
     if isinstance(estimators, str):
         raise UsageError(f"estimators must be a list of tags, not the string {estimators!r}")
     estimators = tuple(estimators)  # an iterator is read once
+    if not estimators:
+        raise UsageError("estimators is an empty list; leave it out for the default tags")
     unknown = set(estimators) - set(ESTIMATOR_TAGS)
     if unknown:
         raise UsageError(f"unknown estimator tags: {sorted(unknown)}")

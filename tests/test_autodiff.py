@@ -216,9 +216,82 @@ def test_mean_is_bit_identical_to_np_mean():
     shaped += [a.T for a in shaped] + [a[::2] for a in shaped]  # strided views too
     flat = [rng.normal(loc=rng.uniform(-5, 5), scale=10.0 ** rng.uniform(-8, 8), size=n)
             for n in range(1, 2001)]
-    for x in flat + shaped:
+    for x in flat + shaped + [np.array(2.5), np.array(-0.0)]:
         got, want = ad.mean(x), np.mean(x)
         assert type(got) is type(want) and got.view(np.uint64) == want.view(np.uint64)
+        # the backward fills of mean and vsum, fed a 0-d upstream gradient
+        g = np.asarray(rng.normal(scale=10.0 ** rng.uniform(-8, 8)))
+        ((_, mean_vjp),) = ad.mean(ad.Var(x))._parents
+        ((_, sum_vjp),) = ad.vsum(ad.Var(x))._parents
+        assert_same_bits(mean_vjp(g), np.full(x.shape, g / x.size, dtype=np.float64))
+        assert_same_bits(sum_vjp(g), np.full(x.shape, g, dtype=np.float64))
+
+
+# Each rule-built primitive's value and vjps as they were written out before
+# the two rules, each vjp summed down with `_unbroadcast` as it was then.
+TWO_OPERAND_FORMS = {
+    "add": (lambda a, b: a + b, lambda g, a, b: g, lambda g, a, b: g),
+    "sub": (lambda a, b: a - b, lambda g, a, b: g, lambda g, a, b: -g),
+    "mul": (lambda a, b: a * b, lambda g, a, b: g * b, lambda g, a, b: g * a),
+    "div": (lambda a, b: a / b, lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b)),
+}
+ONE_OPERAND_FORMS = {
+    "neg": (lambda a: -a, lambda g, a: -g),
+    "square": (lambda a: a * a, lambda g, a: 2.0 * g * a),
+    "log": (np.log, lambda g, a: g / a),
+    "sigmoid": (ad.stable_sigmoid, lambda g, a: g * ad.stable_sigmoid(a) * (1.0 - ad.stable_sigmoid(a))),
+    "elu": (lambda a: np.where(a > 0, a, np.expm1(np.minimum(a, 0))),
+            lambda g, a: g * np.where(a > 0, 1.0, np.expm1(np.minimum(a, 0)) + 1.0)),
+    "vsum": (np.sum, lambda g, a: np.full(a.shape, g, dtype=np.float64)),
+    "mean": (np.mean, lambda g, a: np.full(a.shape, g / a.size, dtype=np.float64)),
+}
+
+
+def operand_pairs(seed: int):
+    """(a, b) over float_draws: same shapes, (n, 1) with (1, m), and a 0-d
+    operand on either side."""
+    draws = float_draws(seed)
+    for x, y in zip(draws, draws[1:] + draws[:1]):
+        y = y if y.shape == x.shape else x[::-1]
+        yield x, y
+        if x.ndim == 2:
+            yield x[:, :1], y[:1, :]
+        yield np.array(x.flat[0]), y
+        yield x, np.array(y.flat[-1])
+
+
+@pytest.mark.parametrize("name", sorted(TWO_OPERAND_FORMS))
+def test_two_operand_primitives_are_bit_identical_to_their_written_out_forms(name):
+    value, da, db = TWO_OPERAND_FORMS[name]
+    primitive = getattr(ad, name)
+    rng = np.random.default_rng(53)
+    with np.errstate(all="ignore"):
+        for a, b in operand_pairs(53):
+            got, want = primitive(a, b), value(a, b)
+            assert type(got) is type(want)
+            assert_same_bits(got, want)
+            node = primitive(ad.Var(a), ad.Var(b))
+            assert_same_bits(node.value, want)
+            ((_, a_vjp), (_, b_vjp)) = node._parents
+            g = rng.normal(scale=10.0 ** rng.uniform(-20, 3), size=np.shape(want))
+            assert_same_bits(a_vjp(g), ad._unbroadcast(da(g, a, b), a.shape))
+            assert_same_bits(b_vjp(g), ad._unbroadcast(db(g, a, b), b.shape))
+
+
+@pytest.mark.parametrize("name", sorted(ONE_OPERAND_FORMS))
+def test_one_operand_primitives_are_bit_identical_to_their_written_out_forms(name):
+    value, d = ONE_OPERAND_FORMS[name]
+    primitive = getattr(ad, name)
+    rng = np.random.default_rng(59)
+    with np.errstate(all="ignore"):
+        for x in float_draws(59):
+            for a in (x, np.array(x.flat[0])):
+                got, want = primitive(a), value(a)
+                assert type(got) is type(want)
+                assert_same_bits(got, want)
+                ((_, vjp),) = primitive(ad.Var(a))._parents
+                g = rng.normal(scale=10.0 ** rng.uniform(-20, 3), size=np.shape(want))
+                assert_same_bits(vjp(g), d(g, a))
 
 
 def test_bias_and_broadcast_reductions_are_bit_identical_to_the_sum_method():

@@ -145,6 +145,11 @@ def test_config_refuses_a_string_of_tags_before_any_fit(tmp_path, capsys, no_fit
     assert_refused_when_built(tmp_path, capsys, match, **overrides)
 
 
+def test_config_refuses_an_empty_tag_list_before_any_fit(tmp_path, capsys, no_fit):
+    # None asks for the default tags; an empty list would train and report nothing.
+    assert_refused_when_built(tmp_path, capsys, "estimators is an empty list", estimators=[])
+
+
 @pytest.mark.parametrize("field, value", [("alpha", -1.0), ("alpha", float("nan")),
                                           ("beta", -1.0), ("beta", float("inf"))])
 def test_config_checks_the_training_weights_when_built(field, value):
@@ -309,6 +314,19 @@ def test_make_dataset_csv_mode_maps_replications_to_paths(tmp_path):
     assert not np.array_equal(a.X, b.X)
     with pytest.raises(ConfigError):
         make_dataset(spec, np.random.default_rng(0), 2)
+
+
+def test_a_missing_csv_path_is_refused_before_any_fit(tmp_path, capsys, no_fit):
+    paths = []
+    for i in range(2):
+        path = tmp_path / f"rep{i}.csv"
+        write_csv(make_dataset({"kind": "lin", "n": 30, "p": 2}, np.random.default_rng(i), 0), path)
+        paths.append(str(path))
+    missing = str(tmp_path / "rep2.csv")
+    dgp = {"kind": "csv", "paths": [*paths, missing, missing + ".unused"]}
+    match = re.escape(f"csv dgp file not found: {missing!r}")
+    assert_refused_when_built(tmp_path, capsys, match, dgp=dgp, replications=3)
+    tiny_config(dgp=dgp, replications=2)  # the files of the first two exist
 
 
 # --- replications -------------------------------------------------------------

@@ -155,6 +155,10 @@ def test_bench_grid_refuses_estimators_without_a_headline_tag(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "paired comparison" not in captured.out
     assert "grid method tarnet needs its headline estimator Q" in captured.err
+    # TREG alone leaves the methods without treg no tags: still the headline refusal
+    assert main(["bench", "--config", cfg, "--grid", "--estimators", "TREG"]) == 2
+    assert "grid method tarnet needs its headline estimator Q among the estimators, got ['TREG']" \
+        in capsys.readouterr().err
 
 
 def test_sweep_subsample(tmp_path, capsys):

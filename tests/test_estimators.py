@@ -480,3 +480,14 @@ def test_estimates_follow_a_shift_and_a_scale_of_the_outcomes(seed):
     base = np.array(estimates(q0, q1, y))
     np.testing.assert_allclose(estimates(q0 + c, q1 + c, y + c), base, rtol=0, atol=1e-12)
     np.testing.assert_allclose(estimates(s * q0, s * q1, s * y), s * base, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("tags", [[], ()])
+def test_an_empty_tag_list_is_refused(tags):
+    # None asks for the default tags; an empty list would report nothing.
+    X = np.array([[0.0]])
+    model = table_model(X, [0.0], [1.0], [0.5])
+    with pytest.raises(UsageError, match="estimators is an empty list"):
+        apply_estimators(model, X, np.array([1.0]), np.array([1.0]), estimators=tags)
+    with pytest.raises(UsageError, match="estimators is an empty list"):
+        estimate(*model.predict(X), np.array([1.0]), np.array([1.0]), tags)

@@ -5,7 +5,9 @@ must survive those changes.  Importing its modules resolves each name they
 import from dragonbench; building each workload, timing the layers and
 tracing a small grid reach the attributes they call (`nn.forward`,
 `FittedModel.q0`, `ExperimentConfig.effective_train_config`, ...) and the
-bench globals the tracer patches.
+bench globals the tracer patches.  Each workload's reference call must also
+give its pinned digest, so a change that moves a result by one bit fails
+here and not only in a benchmark run.
 """
 
 import sys
@@ -27,11 +29,12 @@ TINY_TRAIN = TrainConfig(epochs=2, patience=0, val_fraction=0.0, shared_widths=(
 def perfbench():
     sys.path.insert(0, str(PERFBENCH))
     try:
+        import runner
         import tracing
         import workloads
     finally:
         sys.path.remove(str(PERFBENCH))
-    return SimpleNamespace(tracing=tracing, workloads=workloads)
+    return SimpleNamespace(runner=runner, tracing=tracing, workloads=workloads)
 
 
 def constant_model():
@@ -78,3 +81,19 @@ def test_tracer_sees_every_patched_bench_call(perfbench):
     assert tracer.pools == 1  # every (method, replication) task shares one pool
     assert tracer.span_metrics()["estimators.calls"] == 3  # one per row scope
     assert bench.run_replication.__module__ == "dragonbench.bench"  # patches undone
+
+
+@pytest.mark.parametrize("name", ["fit-wide", "sweep-ihdp", "grid-parallel"])
+def test_reference_call_matches_its_pinned_digest(perfbench, name):
+    if not sys.platform.startswith("linux"):
+        pytest.skip("the BLAS core is read from /proc/self/maps")
+    workloads = perfbench.workloads
+    core, threads = perfbench.runner._openblas()
+    pinned = workloads.PINNED_DIGESTS[name].get(f"{core}/{threads}")
+    if pinned is None:
+        pytest.skip(f"no pinned digest for BLAS {core}/{threads}")
+    reference = workloads.WORKLOADS[name](workloads.REFERENCE_SEED)
+    result = reference.call(0)
+    digest = reference.digest(result)
+    assert reference.check(result, digest) == []
+    assert digest == pinned
